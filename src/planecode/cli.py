@@ -19,8 +19,15 @@ from .errors import (
     NotConvex,
     ParseError,
 )
-from .mesh_io import load_mesh, storage_report, write_obj, write_stl_binary
+from .mesh_io import (
+    load_mesh,
+    storage_report,
+    total_plane_count,
+    write_obj,
+    write_stl_binary,
+)
 from .polygonize import (
+    SegmentedCode,
     boundary_planes_for_part,
     decode_segmented,
     encode_segmented,
@@ -129,9 +136,7 @@ def _cmd_encode(args):
         if args.degrees:
             _print_planes(code, True)
     else:
-        total = sum(
-            len(p.face_planes) + len(p.boundary_planes) for p in code.parts
-        )
+        total = total_plane_count(code)
         print(
             "segmented code: %d parts, %d planes, %d payload bytes"
             % (len(code.parts), total, 12 * total)
@@ -141,7 +146,7 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     code = read_code(pathlib.Path(args.code).read_bytes())
-    if hasattr(code, "parts"):
+    if isinstance(code, SegmentedCode):
         mesh = decode_segmented(code, eps=args.eps)
     else:
         mesh = decode_convex(code, eps=args.eps).to_mesh()
@@ -174,21 +179,13 @@ def _cmd_segment(args):
 def _cmd_simplify(args):
     code = read_code(pathlib.Path(args.code).read_bytes())
     params = SimplifyParams(delta=args.delta, tau=math.radians(args.tau))
-    before = _plane_total(code)
+    before = total_plane_count(code)
     out = simplify_code(code, params, eps=args.eps)
     if isinstance(out, PlaneSet):
         out = out.sorted_canonical()
     pathlib.Path(args.out).write_bytes(write_code(out))
-    print("planes: %d -> %d" % (before, _plane_total(out)))
+    print("planes: %d -> %d" % (before, total_plane_count(out)))
     return 0
-
-
-def _plane_total(code):
-    if hasattr(code, "parts"):
-        return sum(
-            len(p.face_planes) + len(p.boundary_planes) for p in code.parts
-        )
-    return len(code)
 
 
 def _cmd_stats(args):

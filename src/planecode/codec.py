@@ -31,7 +31,7 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .geometry import OrientedPlane, SphericalDirection, TWO_PI
+from .geometry import TWO_PI
 from .polygonize import PartCode, SegmentedCode
 from .segmentation import PartKind
 
@@ -45,10 +45,7 @@ _BYTE_OF_PART_KIND = {v: k for k, v in _PART_KIND_OF_BYTE.items()}
 
 
 def _records(planes):
-    arr = np.array(
-        [(p.direction.nu, p.direction.phi, p.h) for p in planes],
-        dtype="<f4",
-    ).reshape(-1, 3)
+    arr = planes.triplets().astype("<f4")
     nu = arr[:, 0]
     over = nu.astype(np.float64) > math.pi
     nu[over] = np.nextafter(nu[over], np.float32(0.0))
@@ -60,34 +57,30 @@ def _records(planes):
 
 def write_code(code):
     """Serialize a PlaneSet or SegmentedCode to .plnc bytes."""
-    if hasattr(code, "parts"):
-        parts = list(code.parts)
+    if isinstance(code, SegmentedCode):
         out = [
             MAGIC,
             bytes((VERSION, _KIND_SEGMENTED)),
-            struct.pack("<I", len(parts)),
+            struct.pack("<I", len(code.parts)),
         ]
-        for part in parts:
-            face = list(part.face_planes)
-            boundary = list(part.boundary_planes)
+        for part in code.parts:
             out.append(
                 struct.pack(
                     "<BII",
                     _BYTE_OF_PART_KIND[part.kind],
-                    len(face),
-                    len(boundary),
+                    len(part.face_planes),
+                    len(part.boundary_planes),
                 )
             )
-            out.append(_records(face))
-            out.append(_records(boundary))
+            out.append(_records(part.face_planes))
+            out.append(_records(part.boundary_planes))
         return b"".join(out)
-    planes = list(code)
     return b"".join(
         [
             MAGIC,
             bytes((VERSION, _KIND_CONVEX)),
-            struct.pack("<I", len(planes)),
-            _records(planes),
+            struct.pack("<I", len(code)),
+            _records(code),
         ]
     )
 
@@ -112,10 +105,7 @@ def _parse_planes(data, offset, count, label):
             "%s record %d holds (nu=%r, phi=%r, h=%r)"
             % (label, k, float(nu[k]), float(phi[k]), float(h[k]))
         )
-    return [
-        OrientedPlane(SphericalDirection(float(nu[k]), float(phi[k])), float(h[k]))
-        for k in range(count)
-    ]
+    return PlaneSet.from_triplets(raw)
 
 
 def read_code(data):
@@ -147,7 +137,7 @@ def _read_convex(data):
         )
     if len(data) > expected:
         raise TruncatedPayload("%d trailing byte(s)" % (len(data) - expected))
-    return PlaneSet(_parse_planes(data, 10, count, "plane"))
+    return _parse_planes(data, 10, count, "plane")
 
 
 def _read_segmented(data):
@@ -185,7 +175,7 @@ def _read_segmented(data):
             data, off, int(n_boundary), "part %d boundary" % i
         )
         off += 12 * int(n_boundary)
-        parts.append(PartCode(part_kind, PlaneSet(face), PlaneSet(boundary)))
+        parts.append(PartCode(part_kind, face, boundary))
     if off != len(data):
         raise TruncatedPayload("%d trailing byte(s)" % (len(data) - off))
     return SegmentedCode(parts)

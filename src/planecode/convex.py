@@ -2,8 +2,17 @@
 
 A convex solid is stored as the ordered list of its face planes; the
 solid itself is the intersection of their closed negative half-spaces.
+``PlaneSet`` holds such a list as one (n, 3) float64 array of
+``(nu, phi, h)`` rows with the unit normals computed once, so every
+module reads normals and offsets from it instead of rebuilding them.
 Decoding enumerates all plane triples, solves the 3x3 systems, keeps
 the feasible intersection points and reassembles faces as convex rings.
+
+This module also holds the pieces the segmented codec shares: the grid
+weld (``weld``), the coplanar-patch flood (``coplanar_patches``) and
+the area-weighted plane of a patch (``patch_planes``).  The part
+decode that negates pseudo-concave faces lives in
+``polygonize.decode_part``.
 """
 
 import itertools
@@ -16,9 +25,11 @@ from .errors import EmptyRegion, NotARotation, NotClosed, UnboundedRegion, NotCo
 from .geometry import (
     OrientedPlane,
     SNAP_AXIS,
-    plane_from_triangle,
+    SphericalDirection,
+    check_triplets,
     snapped_plane,
-    spherical_from_unit_vector,
+    spherical_angles,
+    triangle_planes,
 )
 from .mesh import TriangleMesh
 
@@ -37,41 +48,80 @@ _NEIGHBOR_CELLS = [
 
 
 class PlaneSet:
-    """Ordered list of oriented planes encoding one convex region."""
+    """Ordered oriented planes encoding one convex region.
 
-    def __init__(self, planes):
-        self.planes = list(planes)
+    Stored as one read-only (n, 3) float64 array of ``(nu, phi, h)``
+    rows, with the (n, 3) unit normals derived once from the angles.
+    Indexing with an integer and iterating yield ``OrientedPlane``
+    views; indexing with a slice or a boolean or index array yields a
+    new PlaneSet.  Every constructor checks the angle ranges and that
+    the offsets are finite, raising ValueError.
+    """
+
+    def __init__(self, planes=()):
+        rows = [(p.direction.nu, p.direction.phi, p.h) for p in planes]
+        self._store(rows)
+
+    @classmethod
+    def from_triplets(cls, triplets):
+        """PlaneSet of the rows of an (n, 3) ``(nu, phi, h)`` array."""
+        out = cls.__new__(cls)
+        out._store(triplets)
+        return out
+
+    @classmethod
+    def from_normals(cls, normals, offsets):
+        """PlaneSet of unit normals (n, 3) and offsets (n,)."""
+        rows = [
+            spherical_angles(w) + (float(h),)
+            for w, h in zip(np.asarray(normals, dtype=float), offsets)
+        ]
+        return cls.from_triplets(rows)
+
+    def _store(self, triplets):
+        t = np.array(triplets, dtype=float).reshape(-1, 3)
+        check_triplets(t)
+        nu, phi = t[:, 0], t[:, 1]
+        s = np.sin(nu)
+        normals = np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(nu)], axis=1)
+        t.flags.writeable = False
+        normals.flags.writeable = False
+        self._triplets = t
+        self._normals = normals
 
     def __len__(self):
-        return len(self.planes)
+        return len(self._triplets)
 
     def __iter__(self):
-        return iter(self.planes)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i):
-        return self.planes[i]
+        if isinstance(i, (int, np.integer)):
+            nu, phi, h = (float(x) for x in self._triplets[i])
+            return OrientedPlane(SphericalDirection(nu, phi), h)
+        return PlaneSet.from_triplets(self._triplets[i])
 
     def __repr__(self):
-        return "PlaneSet(n=%d)" % len(self.planes)
+        return "PlaneSet(n=%d)" % len(self)
 
     def normals(self):
-        if not self.planes:
-            return np.zeros((0, 3))
-        return np.array([p.normal for p in self.planes])
+        return self._normals
 
     def offsets(self):
-        return np.array([p.h for p in self.planes])
+        return self._triplets[:, 2]
 
     def triplets(self):
         """(n, 3) array of (nu, phi, h) rows in list order."""
-        return np.array(
-            [(p.direction.nu, p.direction.phi, p.h) for p in self.planes]
-        ).reshape(-1, 3)
+        return self._triplets
+
+    def negated(self):
+        """Every plane with the opposite orientation (omega, h -> -omega, -h)."""
+        return PlaneSet.from_normals(-self._normals, -self.offsets())
 
     def sorted_canonical(self):
         """Planes reordered by (nu, phi, h) for deterministic output."""
-        key = lambda p: (p.direction.nu, p.direction.phi, p.h)
-        return PlaneSet(sorted(self.planes, key=key))
+        t = self._triplets
+        return self[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
 
 
 class ConvexPolyhedron:
@@ -98,34 +148,32 @@ class ConvexPolyhedron:
         return TriangleMesh(self.vertices, np.asarray(tris, dtype=np.int64))
 
 
-def _merge_close(points, cell):
-    """Snap points closer than ~cell onto shared representatives.
+def weld(points, cell, radius):
+    """Cluster points lying within ``radius`` of a cluster's first point.
 
-    Grid buckets with a 27-cell neighborhood check; returns the merged
-    point array (cluster means) in first-appearance order.
+    Grid buckets of size ``cell`` with a 27-cell neighborhood check, in
+    point order.  Returns each point's cluster label (clusters numbered
+    in first-appearance order) and the index of each cluster's first
+    point.
     """
     buckets = {}
-    sums = []
-    counts = []
     firsts = []
-    for p in points:
-        key = tuple(int(v) for v in np.floor(p / cell))
+    labels = np.empty(len(points), dtype=np.int64)
+    cells = np.floor(points / cell).tolist()
+    for k, p in enumerate(points):
+        x, y, z = (int(v) for v in cells[k])
         hit = -1
-        for off in _NEIGHBOR_CELLS:
-            k2 = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-            j = buckets.get(k2, -1)
-            if j >= 0 and np.linalg.norm(p - firsts[j]) <= 2.0 * cell:
+        for dx, dy, dz in _NEIGHBOR_CELLS:
+            j = buckets.get((x + dx, y + dy, z + dz), -1)
+            if j >= 0 and np.linalg.norm(p - points[firsts[j]]) <= radius:
                 hit = j
                 break
         if hit < 0:
-            buckets[key] = len(sums)
-            sums.append(p.copy())
-            counts.append(1)
-            firsts.append(p)
-        else:
-            sums[hit] += p
-            counts[hit] += 1
-    return np.array(sums) / np.array(counts)[:, None]
+            hit = len(firsts)
+            buckets[(x, y, z)] = hit
+            firsts.append(k)
+        labels[k] = hit
+    return labels, np.asarray(firsts, dtype=np.int64)
 
 
 def decode_convex(code, eps=None):
@@ -138,12 +186,11 @@ def decode_convex(code, eps=None):
     vertices sorted lexicographically, faces in plane order, each ring
     starting at its smallest vertex index.
     """
-    planes = list(code)
-    n = len(planes)
+    n = len(code)
     if n < 4:
         raise UnboundedRegion("%d half-space(s) cannot bound a volume" % n)
-    normals = np.array([p.normal for p in planes])
-    offsets = np.array([p.h for p in planes])
+    normals = code.normals()
+    offsets = code.offsets()
 
     try:
         hull = ConvexHull(normals)
@@ -180,7 +227,14 @@ def decode_convex(code, eps=None):
     span = candidates.max(axis=0) - candidates.min(axis=0)
     diag = float(np.linalg.norm(span))
     cell = SNAP_REL * diag if diag > 0 else 1e-12
-    verts = _merge_close(candidates, cell)
+    # cluster means; each sum starts from the cluster's first point, since
+    # starting from 0.0 would turn a lone -0.0 coordinate into 0.0
+    labels, firsts = weld(candidates, cell, 2.0 * cell)
+    sums = candidates[firsts]
+    later = np.ones(len(candidates), dtype=bool)
+    later[firsts] = False
+    np.add.at(sums, labels[later], candidates[later])
+    verts = sums / np.bincount(labels)[:, None]
 
     order = np.lexsort((verts[:, 2], verts[:, 1], verts[:, 0]))
     verts = verts[order]
@@ -208,7 +262,7 @@ def decode_convex(code, eps=None):
         ring = np.roll(ring, -start)
         faces.append([int(x) for x in ring])
         face_planes.append(i)
-    return ConvexPolyhedron(verts, faces, face_planes, planes, redundant)
+    return ConvexPolyhedron(verts, faces, face_planes, code, redundant)
 
 
 def encode_convex(mesh, eps=None):
@@ -226,14 +280,7 @@ def encode_convex(mesh, eps=None):
     if eps is None:
         eps = EPS_CONVEX_REL * diag
 
-    p1, p2, p3 = mesh.triangle_corners()
-    planes = [
-        plane_from_triangle(p1[t], p2[t], p3[t])
-        for t in range(len(mesh.triangles))
-    ]
-    normals = np.array([p.normal for p in planes])
-    offsets = np.array([p.h for p in planes])
-
+    normals, offsets = triangle_planes(*mesh.triangle_corners())
     dist = normals @ mesh.vertices.T - offsets[:, None]
     bad = np.argwhere(dist > eps)
     if len(bad):
@@ -244,75 +291,83 @@ def encode_convex(mesh, eps=None):
             vertex_index=v,
             triangle_index=t,
         )
-
-    groups = _coplanar_groups(mesh, normals, offsets, eps)
-    cross = np.cross(p2 - p1, p3 - p2)
-    centers = (p1 + p2 + p3) / 3.0
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    scale = max(1.0, diag)
-    out = []
-    for group in groups:
-        g = np.asarray(group)
-        direction = cross[g].sum(axis=0)
-        direction /= np.linalg.norm(direction)
-        centroid = (centers[g] * areas[g, None]).sum(axis=0) / areas[g].sum()
-        out.append(
-            snapped_plane(direction, float(direction @ centroid), scale=scale)
-        )
-    return PlaneSet(out).sorted_canonical()
+    patches = coplanar_patches(mesh, normals, offsets, eps)
+    return PlaneSet(patch_planes(mesh, patches, max(1.0, diag))).sorted_canonical()
 
 
-def _coplanar_groups(mesh, normals, offsets, eps):
-    """Partition triangles into edge-connected coplanar patches."""
-    nt = len(mesh.triangles)
-    seen = np.zeros(nt, dtype=bool)
-    groups = []
-    for seed in range(nt):
-        if seen[seed]:
+def coplanar_patches(mesh, normals, offsets, eps, members=None):
+    """Partition triangles into edge-connected coplanar patches.
+
+    Two edge neighbors are coplanar when their normals differ by less
+    than COPLANAR_ANGLE and their offsets by at most ``eps``.  Only the
+    triangles in ``members`` (default: all) take part.  Each patch is a
+    sorted list of triangle indices; patches come in order of their
+    smallest triangle.
+    """
+    members = sorted(range(len(mesh.triangles)) if members is None else members)
+    unseen = set(members)
+    cos_tol = math.cos(COPLANAR_ANGLE)
+    patches = []
+    for seed in members:
+        if seed not in unseen:
             continue
-        seen[seed] = True
-        group = [seed]
+        unseen.discard(seed)
+        patch = [seed]
         stack = [seed]
         while stack:
             t = stack.pop()
             for nb in mesh.neighbors[t]:
-                if seen[nb]:
-                    continue
-                same = (
-                    normals[t] @ normals[nb] >= math.cos(COPLANAR_ANGLE)
+                if (
+                    nb in unseen
+                    and normals[t] @ normals[nb] >= cos_tol
                     and abs(offsets[t] - offsets[nb]) <= eps
-                )
-                if same:
-                    seen[nb] = True
-                    group.append(nb)
+                ):
+                    unseen.discard(nb)
+                    patch.append(nb)
                     stack.append(nb)
-        groups.append(group)
-    return groups
+        patches.append(sorted(patch))
+    return patches
+
+
+def patch_planes(mesh, patches, scale):
+    """One plane per triangle patch: area-weighted, through its centroid.
+
+    The direction is the normalized sum of the patch's cross products
+    and the plane passes through the area-weighted centroid; both are
+    zero-snapped at ``scale`` (see snapped_plane).
+    """
+    p1, p2, p3 = mesh.triangle_corners()
+    cross = np.cross(p2 - p1, p3 - p2)
+    centers = (p1 + p2 + p3) / 3.0
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    out = []
+    for patch in patches:
+        g = np.asarray(patch)
+        direction = cross[g].sum(axis=0)
+        direction /= np.linalg.norm(direction)
+        centroid = (centers[g] * areas[g, None]).sum(axis=0) / areas[g].sum()
+        out.append(snapped_plane(direction, float(direction @ centroid), scale=scale))
+    return out
 
 
 def translate_planes(code, a):
     """Shift the coded solid by ``a``: directions fixed, h += omega . a."""
-    a = np.asarray(a, dtype=float)
-    return PlaneSet(
-        [OrientedPlane(p.direction, p.h + float(p.normal @ a)) for p in code]
-    )
+    t = code.triplets().copy()
+    t[:, 2] += code.normals() @ np.asarray(a, dtype=float)
+    return PlaneSet.from_triplets(t)
 
 
 def rotate_planes(code, r):
     """Rotate the coded solid about the origin: omega -> R omega, h kept.
 
-    The rotated direction is zero-snapped before the angles are taken;
+    The rotated directions are zero-snapped before the angles are taken;
     without it an exact quarter turn leaves 1e-16 dust on pole normals
     and the degenerate azimuth jumps away from its canonical 0.
     """
-    r = check_rotation(r)
-    out = []
-    for p in code:
-        w = r @ p.normal
-        w[np.abs(w) < SNAP_AXIS] = 0.0
-        w /= np.linalg.norm(w)
-        out.append(OrientedPlane(spherical_from_unit_vector(w), p.h))
-    return PlaneSet(out)
+    w = code.normals() @ check_rotation(r).T
+    w[np.abs(w) < SNAP_AXIS] = 0.0
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return PlaneSet.from_normals(w, code.offsets())
 
 
 def check_rotation(r, tol=1e-9):

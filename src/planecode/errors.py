@@ -48,10 +48,6 @@ class EmptyRegion(GeometryError):
     """Half-space intersection contains no points."""
 
 
-class IllConditioned(GeometryError):
-    """A linear solve was too badly conditioned to trust."""
-
-
 class NotARotation(GeometryError):
     """Matrix is not a proper rotation (orthogonal, determinant +1)."""
 

@@ -42,10 +42,7 @@ class SphericalDirection:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.nu <= math.pi:
-            raise ValueError("nu %r outside [0, pi]" % (self.nu,))
-        if not 0.0 <= self.phi < TWO_PI:
-            raise ValueError("phi %r outside [0, 2*pi)" % (self.phi,))
+        check_triplets([(self.nu, self.phi, 0.0)])
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,7 @@ class OrientedPlane:
     h: float
 
     def __post_init__(self):
-        if not math.isfinite(self.h):
-            raise ValueError("h must be finite, got %r" % (self.h,))
+        check_triplets([(0.0, 0.0, self.h)])
 
     @property
     def normal(self):
@@ -73,7 +69,24 @@ class OrientedPlane:
         return OrientedPlane(spherical_from_unit_vector(-self.normal), -self.h)
 
 
-def spherical_from_unit_vector(w):
+def check_triplets(triplets):
+    """Raise ValueError unless every (nu, phi, h) row is in range.
+
+    nu must lie in [0, pi], phi in [0, 2*pi) and h must be finite; the
+    first offending value is named.
+    """
+    t = np.asarray(triplets, dtype=float).reshape(-1, 3)
+    nu, phi, h = t[:, 0], t[:, 1], t[:, 2]
+    for ok, values, msg in (
+        ((nu >= 0.0) & (nu <= math.pi), nu, "nu %r outside [0, pi]"),
+        ((phi >= 0.0) & (phi < TWO_PI), phi, "phi %r outside [0, 2*pi)"),
+        (np.isfinite(h), h, "h must be finite, got %r"),
+    ):
+        if not ok.all():
+            raise ValueError(msg % (float(values[~ok][0]),))
+
+
+def spherical_angles(w):
     """Recover (nu, phi) from a unit vector.
 
     nu = arccos(w_z).  phi comes from the two-argument arctangent of
@@ -87,12 +100,17 @@ def spherical_from_unit_vector(w):
         raise NotUnitVector("vector norm %.17g, expected 1" % n)
     nu = math.acos(min(1.0, max(-1.0, float(w[2]))))
     if w[0] == 0.0 and w[1] == 0.0:
-        return SphericalDirection(nu, 0.0)
+        return nu, 0.0
     phi = math.atan2(float(w[1]), float(w[0])) % TWO_PI
     if phi >= TWO_PI:
         # a tiny negative atan2 result rounds up to exactly 2*pi
         phi = 0.0
-    return SphericalDirection(nu, phi)
+    return nu, phi
+
+
+def spherical_from_unit_vector(w):
+    """SphericalDirection of a unit vector (see spherical_angles)."""
+    return SphericalDirection(*spherical_angles(w))
 
 
 def unit_vector_from_spherical(d):
@@ -100,26 +118,32 @@ def unit_vector_from_spherical(d):
     return np.array([s * math.cos(d.phi), s * math.sin(d.phi), math.cos(d.nu)])
 
 
-def plane_from_triangle(p1, p2, p3, eps_area=EPS_AREA):
-    """Oriented plane through three points.
+def triangle_planes(p1, p2, p3, eps_area=EPS_AREA):
+    """Unit normals and offsets of the planes through triangle corners.
 
-    The normal is the normalized cross product (p2 - p1) x (p3 - p2),
-    so a counterclockwise vertex order seen from outside yields an
-    outward normal; the offset is omega . p1.  The degeneracy test is
-    on the squared cross-product norm, so ``eps_area`` lives at the
-    length**4 scale.
+    ``p1``, ``p2`` and ``p3`` are (T, 3) corner arrays.  The normal is
+    the normalized cross product (p2 - p1) x (p3 - p2), so a
+    counterclockwise vertex order seen from outside yields an outward
+    normal; the offset is omega . p1.  The degeneracy test is on the
+    squared cross-product norm, so ``eps_area`` lives at the length**4
+    scale; the first degenerate triangle raises DegenerateTriangle.
     """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    p3 = np.asarray(p3, dtype=float)
+    p1, p2, p3 = (np.asarray(p, dtype=float).reshape(-1, 3) for p in (p1, p2, p3))
     c = np.cross(p2 - p1, p3 - p2)
-    nsq = float(c @ c)
-    if nsq <= eps_area:
+    nsq = np.einsum("ij,ij->i", c, c)
+    bad = np.flatnonzero(nsq <= eps_area)
+    if len(bad):
         raise DegenerateTriangle(
-            "squared cross norm %.3g <= %.3g" % (nsq, eps_area)
+            "squared cross norm %.3g <= %.3g" % (nsq[bad[0]], eps_area)
         )
-    n = c / math.sqrt(nsq)
-    return OrientedPlane(spherical_from_unit_vector(n), float(n @ p1))
+    normals = c / np.sqrt(nsq)[:, None]
+    return normals, np.einsum("ij,ij->i", normals, p1)
+
+
+def plane_from_triangle(p1, p2, p3, eps_area=EPS_AREA):
+    """Oriented plane through three points (see triangle_planes)."""
+    normals, offsets = triangle_planes(p1, p2, p3, eps_area)
+    return OrientedPlane(spherical_from_unit_vector(normals[0]), float(offsets[0]))
 
 
 def classify_side(plane, p, eps=0.0):
@@ -145,13 +169,7 @@ def plane_from_normal_offset(normal, h):
 def plane_through_point(normal, point):
     """Plane with the given direction passing through ``point``."""
     n = np.asarray(normal, dtype=float)
-    ln = math.sqrt(float(n @ n))
-    if not ln > 0.0 or not math.isfinite(ln):
-        raise ValueError("normal must be a finite nonzero vector")
-    n = n / ln
-    return OrientedPlane(
-        spherical_from_unit_vector(n), float(n @ np.asarray(point, dtype=float))
-    )
+    return plane_from_normal_offset(n, float(n @ np.asarray(point, dtype=float)))
 
 
 def angle_between(u, v):

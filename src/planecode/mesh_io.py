@@ -10,8 +10,11 @@ import struct
 
 import numpy as np
 
+from .convex import coplanar_patches
 from .errors import ParseError, UnsupportedFeature
+from .geometry import triangle_planes
 from .mesh import TriangleMesh
+from .polygonize import SegmentedCode
 
 _OBJ_UNSUPPORTED = {
     "curv", "curv2", "surf", "l", "p", "cstype", "deg", "step", "bmat",
@@ -186,14 +189,19 @@ def _parse_stl_binary(data):
     return _weld_soup(tri_points)
 
 
+def _facet_normals(p1, p2, p3):
+    """Unit facet normals for STL; zero for degenerate triangles."""
+    cross = np.cross(p2 - p1, p3 - p2)
+    norms = np.linalg.norm(cross, axis=1)
+    norms[norms == 0] = 1.0
+    return cross / norms[:, None]
+
+
 def write_stl_binary(mesh, header=b""):
     head = (header or b"planecode mesh")[:80].ljust(80, b"\x00")
     parts = [head, struct.pack("<I", len(mesh.triangles))]
     p1, p2, p3 = mesh.triangle_corners()
-    cross = np.cross(p2 - p1, p3 - p2)
-    norms = np.linalg.norm(cross, axis=1)
-    norms[norms == 0] = 1.0
-    normals = cross / norms[:, None]
+    normals = _facet_normals(p1, p2, p3)
     for t in range(len(mesh.triangles)):
         rec = _STL_RECORD.pack(
             *normals[t].astype(np.float32),
@@ -208,10 +216,7 @@ def write_stl_binary(mesh, header=b""):
 
 def write_stl_ascii(mesh, name="planecode"):
     p1, p2, p3 = mesh.triangle_corners()
-    cross = np.cross(p2 - p1, p3 - p2)
-    norms = np.linalg.norm(cross, axis=1)
-    norms[norms == 0] = 1.0
-    normals = cross / norms[:, None]
+    normals = _facet_normals(p1, p2, p3)
     lines = ["solid %s" % name]
     for t in range(len(mesh.triangles)):
         lines.append("  facet normal %r %r %r" % tuple(float(x) for x in normals[t]))
@@ -263,7 +268,7 @@ class StorageReport:
 
 def total_plane_count(code):
     """Stored planes in a convex or segmented code."""
-    if hasattr(code, "parts"):
+    if isinstance(code, SegmentedCode):
         return sum(
             len(part.face_planes) + len(part.boundary_planes)
             for part in code.parts
@@ -286,15 +291,6 @@ def storage_report(mesh, code, quad_accounting=False):
 
 def count_coplanar_patches(mesh):
     """Number of maximal edge-connected coplanar triangle patches."""
-    from .convex import _coplanar_groups
-    from .geometry import plane_from_triangle
-
-    p1, p2, p3 = mesh.triangle_corners()
-    planes = [
-        plane_from_triangle(p1[t], p2[t], p3[t])
-        for t in range(len(mesh.triangles))
-    ]
-    normals = np.array([p.normal for p in planes])
-    offsets = np.array([p.h for p in planes])
+    normals, offsets = triangle_planes(*mesh.triangle_corners())
     eps = 1e-7 * max(1.0, mesh.bbox_diagonal())
-    return len(_coplanar_groups(mesh, normals, offsets, eps))
+    return len(coplanar_patches(mesh, normals, offsets, eps))

@@ -4,10 +4,15 @@ Each mesh part is coded as two plane groups: its polygonized face
 planes, and extra "cutting" planes that close the part's open boundary
 so the convex decoder can rebuild it.  Decoding a pseudo-concave part
 negates its face planes (the two part kinds are dual under negation),
-decodes with the convex machinery, and flips the windings back.  The
-cutting planes are stored already oriented so the part's own vertices
-sit in their closed negative half-spaces; they are used as stored for
-both part kinds.
+decodes with the convex machinery, and flips the windings back;
+``decode_part`` is the one place that does this, for decoding and for
+simplification alike.  The cutting planes are stored already oriented
+so the part's own vertices sit in their closed negative half-spaces;
+they are used as stored for both part kinds.
+
+Face polygons come from the coplanar-patch flood and patch planes in
+``convex`` run on one part's triangles; decoded part surfaces are
+joined with the same grid weld the convex decoder uses.
 """
 
 import math
@@ -15,11 +20,12 @@ import math
 import numpy as np
 
 from .convex import (
-    COPLANAR_ANGLE,
     EPS_CONVEX_REL,
-    _NEIGHBOR_CELLS,
     PlaneSet,
+    coplanar_patches,
     decode_convex,
+    patch_planes,
+    weld,
 )
 from .errors import (
     BoundaryNotCuttable,
@@ -29,7 +35,7 @@ from .errors import (
     PartUndecodable,
     WeldMismatch,
 )
-from .geometry import TWO_PI, snapped_plane
+from .geometry import TWO_PI, snapped_plane, triangle_planes
 from .mesh import TriangleMesh
 from .segmentation import PartKind, segment_mesh
 
@@ -93,63 +99,29 @@ def polygonize_part(mesh, part, eps=None):
     Raises NonSimpleBoundary when a merged patch is not a disk (its
     boundary is more than one loop, or pinches at a vertex).
     """
+    diag = mesh.bbox_diagonal()
     if eps is None:
-        eps = EPS_CONVEX_REL * mesh.bbox_diagonal()
-    scale = max(1.0, mesh.bbox_diagonal())
-    members = sorted(part.triangles)
-    in_part = set(members)
-    p1, p2, p3 = mesh.triangle_corners()
-    cross = np.cross(p2 - p1, p3 - p2)
-    lengths = np.linalg.norm(cross, axis=1)
-    centers = (p1 + p2 + p3) / 3.0
-    cos_tol = math.cos(COPLANAR_ANGLE)
+        eps = EPS_CONVEX_REL * diag
+    normals, offsets = triangle_planes(*mesh.triangle_corners())
+    patches = coplanar_patches(mesh, normals, offsets, eps, members=part.triangles)
+    planes = patch_planes(mesh, patches, max(1.0, diag))
+    return [
+        PolygonFace(plane, _patch_ring(mesh, patch), patch)
+        for plane, patch in zip(planes, patches)
+    ]
 
-    normals = {}
-    offsets = {}
-    for t in members:
-        n = cross[t] / lengths[t]
-        normals[t] = n
-        offsets[t] = float(n @ p1[t])
 
-    seen = set()
-    faces = []
-    for seed in members:
-        if seed in seen:
-            continue
-        patch = [seed]
-        seen.add(seed)
-        stack = [seed]
-        while stack:
-            t = stack.pop()
-            for nb in mesh.neighbors[t]:
-                if nb in seen or nb not in in_part:
-                    continue
-                if (
-                    normals[t] @ normals[nb] >= cos_tol
-                    and abs(offsets[t] - offsets[nb]) <= eps
-                ):
-                    seen.add(nb)
-                    patch.append(nb)
-                    stack.append(nb)
-        patch.sort()
-        g = np.asarray(patch)
-        direction = cross[g].sum(axis=0)
-        direction /= np.linalg.norm(direction)
-        areas = 0.5 * lengths[g]
-        centroid = (centers[g] * areas[:, None]).sum(axis=0) / areas.sum()
-        plane = snapped_plane(direction, float(direction @ centroid), scale=scale)
-        ring = _patch_ring(mesh, patch)
-        faces.append(PolygonFace(plane, ring, patch))
-    return faces
+def _border_edges(mesh, triangles):
+    """Directed edges of ``triangles`` whose reverse none of them walks."""
+    walked = set()
+    for t in triangles:
+        a, b, c = (int(v) for v in mesh.triangles[t])
+        walked.update([(a, b), (b, c), (c, a)])
+    return [e for e in walked if (e[1], e[0]) not in walked]
 
 
 def _patch_ring(mesh, patch):
-    walked = set()
-    for t in patch:
-        a, b, c = (int(v) for v in mesh.triangles[t])
-        walked.update([(a, b), (b, c), (c, a)])
-    border = [e for e in walked if (e[1], e[0]) not in walked]
-    loops = _chain_loops(border)
+    loops = _chain_loops(_border_edges(mesh, patch))
     if len(loops) != 1:
         raise NonSimpleBoundary(
             "coplanar patch has %d boundary loops, expected 1" % len(loops)
@@ -197,16 +169,10 @@ def boundary_planes_for_part(mesh, part, eps=None):
     diag = mesh.bbox_diagonal()
     if eps is None:
         eps = EPS_CONVEX_REL * diag
-    walked = set()
-    for t in part.triangles:
-        a, b, c = (int(v) for v in mesh.triangles[t])
-        walked.update([(a, b), (b, c), (c, a)])
-    border = [e for e in walked if (e[1], e[0]) not in walked]
+    border = _border_edges(mesh, part.triangles)
     if not border:
         return PlaneSet([])
-    part_verts = mesh.vertices[
-        sorted({v for e in walked for v in e})
-    ]
+    part_verts = mesh.vertices[np.unique(mesh.triangles[part.triangles])]
     planes = []
     for loop in _chain_loops(border):
         corners = _fuse_collinear(mesh.vertices[np.asarray(loop)])
@@ -382,6 +348,30 @@ def encode_segmented(mesh, eps=None):
     return SegmentedCode(coded)
 
 
+def decode_part(part, index, eps=None):
+    """Decode one part's face and boundary planes as a convex region.
+
+    A pseudo-concave part's face planes are negated first, so the
+    result's face rings follow ``part.face_planes`` then
+    ``part.boundary_planes``.  Any GeometryError becomes a
+    PartUndecodable naming ``index``.
+    """
+    faces = part.face_planes
+    if part.kind is PartKind.PSEUDO_CONCAVE:
+        faces = faces.negated()
+    try:
+        return decode_convex(
+            PlaneSet.from_triplets(
+                np.concatenate([faces.triplets(), part.boundary_planes.triplets()])
+            ),
+            eps=eps,
+        )
+    except GeometryError as exc:
+        raise PartUndecodable(
+            "part %d undecodable: %s" % (index, exc), part_index=index
+        )
+
+
 def decode_segmented(code, eps=None):
     """Rebuild the welded surface of a segmented code.
 
@@ -394,18 +384,9 @@ def decode_segmented(code, eps=None):
         raise EmptyRegion("segmented code has no parts")
     soup = []
     for i, part in enumerate(code.parts):
-        face_planes = list(part.face_planes)
+        poly = decode_part(part, i, eps=eps)
         concave = part.kind is PartKind.PSEUDO_CONCAVE
-        used = [p.negated() for p in face_planes] if concave else face_planes
-        try:
-            poly = decode_convex(
-                PlaneSet(used + list(part.boundary_planes)), eps=eps
-            )
-        except GeometryError as exc:
-            raise PartUndecodable(
-                "part %d failed to decode: %s" % (i, exc), part_index=i
-            )
-        n_face = len(face_planes)
+        n_face = len(part.face_planes)
         for ring, plane_idx in zip(poly.faces, poly.face_planes):
             if plane_idx >= n_face:
                 continue
@@ -421,36 +402,14 @@ def decode_segmented(code, eps=None):
     cell = WELD_REL * float(np.linalg.norm(span))
     if cell <= 0.0:
         cell = 1e-12
-    verts, assign = _weld(flat, cell)
-    tris = assign.reshape(-1, 3)
+    labels, firsts = weld(flat, cell, cell)
+    tris = labels.reshape(-1, 3)
     solid = tris[
         (tris[:, 0] != tris[:, 1])
         & (tris[:, 1] != tris[:, 2])
         & (tris[:, 2] != tris[:, 0])
     ]
-    out = TriangleMesh(verts, solid)
+    out = TriangleMesh(flat[firsts], solid)
     if not out.is_edge_manifold:
         raise WeldMismatch("welded surface has an over-shared edge")
     return out
-
-
-def _weld(points, cell):
-    buckets = {}
-    reps = []
-    assign = np.empty(len(points), dtype=np.int64)
-    for k, p in enumerate(points):
-        key = tuple(int(v) for v in np.floor(p / cell))
-        hit = -1
-        for off in _NEIGHBOR_CELLS:
-            j = buckets.get(
-                (key[0] + off[0], key[1] + off[1], key[2] + off[2]), -1
-            )
-            if j >= 0 and np.linalg.norm(p - reps[j]) <= cell:
-                hit = j
-                break
-        if hit < 0:
-            hit = len(reps)
-            buckets[key] = hit
-            reps.append(p)
-        assign[k] = hit
-    return np.array(reps), assign

@@ -15,7 +15,7 @@ import heapq
 import numpy as np
 
 from .errors import InconsistentOrientation, NonManifold
-from .geometry import plane_from_triangle
+from .geometry import plane_from_triangle, triangle_planes
 
 EPS_ORIENT_REL = 1e-7  # six-vertex test slack per unit of bbox diagonal
 
@@ -93,12 +93,7 @@ def segment_mesh(mesh, eps=None):
 
     nt = len(mesh.triangles)
     corners = mesh.vertices[mesh.triangles]
-    planes = [
-        plane_from_triangle(corners[t, 0], corners[t, 1], corners[t, 2])
-        for t in range(nt)
-    ]
-    normals = np.array([p.normal for p in planes])
-    offs = np.array([p.h for p in planes])
+    normals, offs = triangle_planes(corners[:, 0], corners[:, 1], corners[:, 2])
     neighbors = mesh.neighbors
 
     cache = {}

@@ -12,8 +12,7 @@ import numpy as np
 from .convex import PlaneSet, decode_convex
 from .errors import GeometryError, OverSimplified, PartUndecodable
 from .geometry import angle_between, snapped_plane
-from .polygonize import PartCode, SegmentedCode
-from .segmentation import PartKind
+from .polygonize import PartCode, SegmentedCode, decode_part
 
 HALF_PI = np.pi / 2.0
 
@@ -79,15 +78,13 @@ def drop_small_faces(code, params, eps=None):
     zero, so any positive delta discards them while delta = 0 is the
     exact identity.
     """
-    planes = list(code)
-    poly = decode_convex(PlaneSet(planes), eps=eps)
-    areas, _ = _face_measurements(poly, len(planes))
-    kept = [p for p, a in zip(planes, areas) if a >= params.delta]
-    if len(kept) < 4:
+    poly = decode_convex(code, eps=eps)
+    areas, _ = _face_measurements(poly, len(code))
+    out = code[areas >= params.delta]
+    if len(out) < 4:
         raise OverSimplified(
-            "only %d plane(s) would remain" % len(kept)
+            "only %d plane(s) would remain" % len(out)
         )
-    out = PlaneSet(kept)
     try:
         decode_convex(out, eps=eps)
     except GeometryError as exc:
@@ -103,14 +100,11 @@ def merge_near_parallel(code, adjacency, params):
     area centroid.  A cluster's direction evolves as it grows, so each
     union is judged against the merged direction, not the seeds'.
     """
-    planes = list(code)
-    if params.tau <= 0.0 or not planes:
-        return PlaneSet(planes)
-    poly = decode_convex(PlaneSet(planes))
-    areas, centroids = _face_measurements(poly, len(planes))
-    return PlaneSet(
-        _merge_with_metrics(planes, areas, centroids, adjacency, params)
-    )
+    if params.tau <= 0.0 or not len(code):
+        return code
+    poly = decode_convex(code)
+    areas, centroids = _face_measurements(poly, len(code))
+    return _merge_with_metrics(code, areas, centroids, adjacency, params)
 
 
 def simplify_code(code, params, eps=None):
@@ -133,25 +127,17 @@ def simplify_code(code, params, eps=None):
 
 
 def _simplify_part(part, index, params, eps):
-    faces = list(part.face_planes)
-    boundary = list(part.boundary_planes)
-    concave = part.kind is PartKind.PSEUDO_CONCAVE
+    faces = part.face_planes
+    boundary = part.boundary_planes
 
-    def part_poly(face_list):
-        used = [p.negated() for p in face_list] if concave else list(face_list)
-        try:
-            return decode_convex(PlaneSet(used + boundary), eps=eps)
-        except GeometryError as exc:
-            raise PartUndecodable(
-                "part %d undecodable during simplify: %s" % (index, exc),
-                part_index=index,
-            )
+    def part_poly(face_planes):
+        return decode_part(PartCode(part.kind, face_planes, boundary), index, eps=eps)
 
     if params.delta > 0.0:
         poly = part_poly(faces)
         areas, _ = _face_measurements(poly, len(faces) + len(boundary))
-        kept = [p for p, a in zip(faces, areas) if a >= params.delta]
-        if not kept:
+        kept = faces[areas[: len(faces)] >= params.delta]
+        if not len(kept):
             raise OverSimplified("part %d would lose every face plane" % index)
         try:
             part_poly(kept)
@@ -161,24 +147,23 @@ def _simplify_part(part, index, params, eps):
             )
         faces = kept
 
-    if params.tau > 0.0 and faces:
+    if params.tau > 0.0 and len(faces):
         poly = part_poly(faces)
         n_face = len(faces)
         adjacency = [
             (i, j) for i, j in face_adjacency(poly) if i < n_face and j < n_face
         ]
         areas, centroids = _face_measurements(poly, n_face + len(boundary))
-        merged = _merge_with_metrics(
+        faces = _merge_with_metrics(
             faces, areas[:n_face], centroids[:n_face], adjacency, params
         )
-        faces = list(merged)
-    return PartCode(part.kind, PlaneSet(faces), PlaneSet(boundary))
+    return PartCode(part.kind, faces, boundary)
 
 
 def _merge_with_metrics(planes, areas, centroids, adjacency, params):
     """merge_near_parallel core against externally supplied metrics."""
     n = len(planes)
-    normals = np.array([p.normal for p in planes]).reshape(n, 3)
+    normals = planes.normals()
     parent = list(range(n))
 
     def find(x):
@@ -205,7 +190,7 @@ def _merge_with_metrics(planes, areas, centroids, adjacency, params):
             area_sum[ri] += area_sum[rj]
             merged_any = True
     if not merged_any:
-        return list(planes)
+        return planes
     scale = max(1.0, float(np.abs(np.asarray(centroids)).max(initial=0.0)))
     out = []
     emitted = set()
@@ -223,4 +208,4 @@ def _merge_with_metrics(planes, areas, centroids, adjacency, params):
         out.append(
             snapped_plane(direction, float(direction @ centroid), scale=scale)
         )
-    return out
+    return PlaneSet(out)
