@@ -5,8 +5,12 @@ solid itself is the intersection of their closed negative half-spaces.
 ``PlaneSet`` holds such a list as one (n, 3) float64 array of
 ``(nu, phi, h)`` rows with the unit normals computed once, so every
 module reads normals and offsets from it instead of rebuilding them.
-Decoding enumerates all plane triples, solves the 3x3 systems, keeps
-the feasible intersection points and reassembles faces as convex rings.
+Decoding finds an interior point as the centre of the largest inscribed
+ball, read off the lower hull of the planes lifted to R^4, and hands it
+to Qhull's half-space intersection.  Each dual facet Qhull returns is
+one vertex together with the planes that meet there: the vertex is
+solved from those planes' triples, and the same lists give every face
+ring its vertices, so incidence never depends on a distance tolerance.
 
 This module also holds the pieces the segmented codec shares: the grid
 weld (``weld``), the coplanar-patch flood (``coplanar_patches``) and
@@ -19,7 +23,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import EmptyRegion, NotARotation, NotClosed, UnboundedRegion, NotConvex
 from .geometry import (
@@ -35,8 +39,8 @@ from .mesh import TriangleMesh
 
 EPS_CONVEX_REL = 1e-7     # convexity slack per unit of bounding-box diagonal
 COND_LIMIT = 1e8          # triple solves beyond this condition number are skipped
-SNAP_REL = 1e-7           # vertex merge cell per unit of candidate bbox diagonal
-FEAS_REL = 1e-9           # feasibility slack per unit of max(1, |h|)
+MAX_VERTEX_TRIPLES = 220  # triples averaged per vertex, C(12, 3): bounds the cost
+FEAS_REL = 1e-9           # least inscribed-ball radius per unit of max(1, |h|)
 COPLANAR_ANGLE = 1e-6     # radians; triangles closer than this may share a face
 
 _NEIGHBOR_CELLS = [
@@ -179,12 +183,22 @@ def weld(points, cell, radius):
 def decode_convex(code, eps=None):
     """Intersect the closed negative half-spaces of ``code``.
 
-    Enumerates plane triples in chunks, discards solves with condition
-    number beyond COND_LIMIT, keeps intersection points feasible for
-    every half-space, merges duplicates and builds one convex ring per
-    plane with three or more incident vertices.  Output is canonical:
-    vertices sorted lexicographically, faces in plane order, each ring
-    starting at its smallest vertex index.
+    The normals must surround the origin, else UnboundedRegion.  An
+    interior point is the centre of the largest ball inside every
+    half-space (``_chebyshev_centre``); when that ball's radius is at
+    most ``eps`` (default FEAS_REL * max(1, max |h|)) the region is
+    empty or flat, say a zero-thickness slab, and EmptyRegion is raised.
+    Qhull's half-space intersection (Barber, Dobkin and Huhdanpaa, ACM
+    TOMS 1996) then gives one dual facet per vertex, listing the planes
+    that meet there; the vertex is the mean, in combination order, of
+    the 3x3 solves of those planes' triples (``_vertex_points``).  Each
+    plane's ring holds exactly the vertices whose dual facets list it,
+    in the order of their normal cones (``_rings``).
+    An exact duplicate plane, which Qhull sees once, shares its first
+    copy's ring; a plane with fewer than three vertices is redundant.
+    Output is canonical: vertices sorted lexicographically, faces in
+    plane order, each ring counterclockwise from outside and starting
+    at its smallest vertex index.
     """
     n = len(code)
     if n < 4:
@@ -201,68 +215,141 @@ def decode_convex(code, eps=None):
 
     feas = FEAS_REL * max(1.0, float(np.abs(offsets).max())) if eps is None else eps
 
-    triples = np.array(
-        list(itertools.combinations(range(n), 3)), dtype=np.int64
+    # Qhull sees each distinct plane once; ``first`` maps every plane to
+    # the index of its first exact copy
+    _, first_of_row, row = np.unique(
+        code.triplets(), axis=0, return_index=True, return_inverse=True
     )
-    candidates = []
-    for lo in range(0, len(triples), 200000):
-        chunk = triples[lo : lo + 200000]
-        a = normals[chunk]
-        b = offsets[chunk]
+    first = first_of_row[row.ravel()]
+    kept = np.flatnonzero(first == np.arange(n))
+    centre, radius = _chebyshev_centre(normals[kept], offsets[kept])
+    if radius <= feas:
+        raise EmptyRegion(
+            "no ball of radius above %.3g fits inside every half-space "
+            "(largest radius %.3g)" % (feas, radius)
+        )
+    try:
+        hs = HalfspaceIntersection(
+            np.column_stack([normals[kept], -offsets[kept]]), centre
+        )
+    except QhullError as exc:
+        raise EmptyRegion("half-space intersection failed: %s" % exc)
+
+    # one (plane, vertex) incidence pair per entry of a dual facet
+    facets = hs.dual_facets
+    sizes = np.fromiter(map(len, facets), dtype=np.int64, count=len(facets))
+    pair_plane = kept[np.fromiter(itertools.chain.from_iterable(facets), dtype=np.int64)]
+    pts = _vertex_points(normals, offsets, pair_plane, sizes, hs.intersections)
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+    verts = pts[order]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    pair_vert = np.repeat(rank, sizes)
+    cones = np.zeros_like(verts)
+    np.add.at(cones, pair_vert, normals[pair_plane])
+
+    count = np.bincount(pair_plane, minlength=n)
+    face = count[pair_plane] >= 3
+    rings = _rings(normals, cones, pair_plane[face], pair_vert[face])
+
+    carrying = count[first] >= 3
+    face_planes = np.flatnonzero(carrying).tolist()
+    faces = [rings[j] for j in first[carrying].tolist()]
+    redundant = np.flatnonzero(~carrying).tolist()
+    return ConvexPolyhedron(verts, faces, face_planes, code, redundant)
+
+
+def _chebyshev_centre(normals, offsets):
+    """Centre and radius of the largest ball inside every half-space.
+
+    The ball (x, t) fits when omega_i . x + t <= h_i for every plane,
+    that is when the hyperplane h = omega . x + t of R^4 passes below
+    every lifted point (omega_i, h_i).  By LP duality the best t is the
+    height of the lifted points' lower hull above omega = 0, reached on
+    the lower facet that lies highest there.  One extra point above
+    that height keeps the lifted set full-dimensional when all planes
+    touch one sphere.  The radius returned is the least slack of the
+    chosen centre over all planes.
+    """
+    top = 2.0 * float(np.abs(offsets).max()) + 1.0
+    lifted = np.vstack([np.column_stack([normals, offsets]), [[0.0, 0.0, 0.0, top]]])
+    try:
+        eq = ConvexHull(lifted).equations
+    except QhullError as exc:
+        raise EmptyRegion("lifted planes have no lower hull: %s" % exc)
+    lower = eq[eq[:, 3] < 0.0]
+    best = lower[int(np.argmax(-lower[:, 4] / lower[:, 3]))]
+    centre = -best[:3] / best[3]
+    return centre, float((offsets - normals @ centre).min())
+
+
+def _vertex_points(normals, offsets, flat, sizes, fallback):
+    """One point per dual facet from the 3x3 solves of its plane triples.
+
+    ``flat`` lists the facets' planes back to back, ``sizes`` their
+    counts.  Triples are taken in combination order of the sorted
+    planes, at most MAX_VERTEX_TRIPLES of them, skipping solves with
+    condition number beyond COND_LIMIT, and summed in that order.  A
+    facet with no usable triple keeps Qhull's own intersection point
+    from ``fallback``.
+    """
+    pts = np.array(fallback, dtype=float)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        planes = np.sort(flat[starts[rows, None] + np.arange(k)], axis=1)
+        combos = np.array(
+            list(itertools.islice(itertools.combinations(range(k), 3), MAX_VERTEX_TRIPLES)),
+            dtype=np.int64,
+        )
+        triples = planes[:, combos]
+        a = normals[triples]
         cond = np.linalg.cond(a)
         ok = np.isfinite(cond) & (cond < COND_LIMIT)
-        if not ok.any():
-            continue
-        pts = np.linalg.solve(a[ok], b[ok][:, :, None])[:, :, 0]
-        good = np.isfinite(pts).all(axis=1)
-        dist = pts[good] @ normals.T - offsets
-        feasible = (dist <= feas).all(axis=1)
-        candidates.append(pts[good][feasible])
-    candidates = (
-        np.concatenate(candidates) if candidates else np.zeros((0, 3))
-    )
-    if len(candidates) == 0:
-        raise EmptyRegion("no point satisfies all half-spaces")
+        a[~ok] = np.eye(3)
+        sol = np.linalg.solve(a, offsets[triples][:, :, :, None])[:, :, :, 0]
+        # x + -0.0 == x for every x, so the skipped solves and the start
+        # of the sum leave the kept solves' sum bit for bit, -0.0 included
+        sol[~ok] = -0.0
+        used = ok.sum(axis=1)
+        some = used > 0
+        pts[rows[some]] = sol[some].sum(axis=1, initial=-0.0) / used[some, None]
+    return pts
 
-    span = candidates.max(axis=0) - candidates.min(axis=0)
-    diag = float(np.linalg.norm(span))
-    cell = SNAP_REL * diag if diag > 0 else 1e-12
-    # cluster means; each sum starts from the cluster's first point, since
-    # starting from 0.0 would turn a lone -0.0 coordinate into 0.0
-    labels, firsts = weld(candidates, cell, 2.0 * cell)
-    sums = candidates[firsts]
-    later = np.ones(len(candidates), dtype=bool)
-    later[firsts] = False
-    np.add.at(sums, labels[later], candidates[later])
-    verts = sums / np.bincount(labels)[:, None]
 
-    order = np.lexsort((verts[:, 2], verts[:, 1], verts[:, 0]))
-    verts = verts[order]
+def _rings(normals, cones, plane, vert):
+    """Counterclockwise vertex rings from (plane, vertex) incidence pairs.
 
-    eps_face = max(feas, 3.0 * cell)
-    dist = verts @ normals.T - offsets
-    faces = []
-    face_planes = []
-    redundant = []
-    for i in range(n):
-        incident = np.where(np.abs(dist[:, i]) <= eps_face)[0]
-        if len(incident) < 3:
-            redundant.append(i)
-            continue
-        w = normals[i]
-        axis = np.zeros(3)
-        axis[int(np.argmin(np.abs(w)))] = 1.0
-        u = axis - (axis @ w) * w
-        u /= np.linalg.norm(u)
-        v = np.cross(w, u)
-        rel = verts[incident] - verts[incident].mean(axis=0)
-        ang = np.arctan2(rel @ v, rel @ u)
-        ring = incident[np.argsort(ang)]
-        start = int(np.argmin(ring))
-        ring = np.roll(ring, -start)
-        faces.append([int(x) for x in ring])
-        face_planes.append(i)
-    return ConvexPolyhedron(verts, faces, face_planes, code, redundant)
+    ``cones[j]`` is the sum of the unit normals of the planes meeting at
+    vertex j.  Projected into a face's plane it points into the vertex's
+    normal cone within the face, and those cones follow the face's
+    vertices once around in counterclockwise order.  So each plane's
+    vertices are sorted by the angle of their cone sums in the plane
+    basis (u, v = omega x u), where u is the coordinate axis least
+    aligned with omega, projected onto the plane.  Unlike the angles of
+    the vertices themselves, these angles stay apart when vertices lie
+    closer than coordinate rounding.  Each ring then starts at its
+    smallest vertex index.  Returns a dict from plane to ring.
+    """
+    w = normals[plane]
+    at = (np.arange(len(w)), np.argmin(np.abs(w), axis=1))
+    u = -w * w[at][:, None]
+    u[at] += 1.0
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.cross(w, u)
+    c = cones[vert]
+    ang = np.arctan2((c * v).sum(axis=1), (c * u).sum(axis=1))
+    order = np.lexsort((ang, plane))
+    plane, vert = plane[order], vert[order]
+    starts = np.flatnonzero(np.r_[True, plane[1:] != plane[:-1]])
+    ends = np.r_[starts[1:], len(plane)]
+    group = np.repeat(np.arange(len(starts)), ends - starts)
+    pos = np.arange(len(plane)) - starts[group]
+    lowest = vert == np.minimum.reduceat(vert, starts)[group]
+    turn = (pos - pos[lowest][group]) % (ends - starts)[group]
+    vert = vert[np.lexsort((turn, group))].tolist()
+    rings = [vert[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    return dict(zip(plane[starts].tolist(), rings))
 
 
 def encode_convex(mesh, eps=None):

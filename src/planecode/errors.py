@@ -45,7 +45,12 @@ class UnboundedRegion(GeometryError):
 
 
 class EmptyRegion(GeometryError):
-    """Half-space intersection contains no points."""
+    """Half-space intersection has no interior.
+
+    Raised both when no point satisfies every half-space and when the
+    region is flat, such as a zero-thickness slab: a solid must hold a
+    ball of positive radius.
+    """
 
 
 class NotARotation(GeometryError):

@@ -337,14 +337,22 @@ def _free_arcs(centers):
 
 
 def encode_segmented(mesh, eps=None):
-    """Segment, polygonize, and cut: the full plane-group encoding."""
+    """Segment, polygonize, and cut: the full plane-group encoding.
+
+    Every part code is decoded once before it is kept, so a part its
+    own decoder would reject (too few planes, coplanar normals, no
+    interior) raises PartUndecodable naming the part instead of
+    producing a code that cannot be read back.
+    """
     parts = segment_mesh(mesh, eps=eps)
     coded = []
-    for part in parts:
+    for i, part in enumerate(parts):
         faces = polygonize_part(mesh, part, eps=eps)
         face_planes = PlaneSet([f.plane for f in faces]).sorted_canonical()
         boundary = boundary_planes_for_part(mesh, part, eps=eps)
-        coded.append(PartCode(part.kind, face_planes, boundary))
+        code = PartCode(part.kind, face_planes, boundary)
+        decode_part(code, i, eps=eps)
+        coded.append(code)
     return SegmentedCode(coded)
 
 

@@ -1,21 +1,20 @@
-"""Known defect: hulls decoded from their stored float32 code are not watertight.
+"""Regression: hulls decoded from their stored float32 code are watertight.
 
-Rounding the (nu, phi, h) triplets to float32 leaves vertices where four
-or more planes meet split into near-duplicates, so the decoded surface
-has open and over-shared edges even though its volume is right.  The
-float64 decode of the same code is closed.  The test is a strict
-expected failure: it must turn green once the decoder merges those
-vertices, and then the mark comes off.
+Rounding the (nu, phi, h) triplets to float32 splits each vertex where
+four or more planes meet into several vertices a tiny edge apart.  A
+decoder that finds vertices by distance merges some of those and adds
+the rest to the wrong rings, leaving open and over-shared edges even
+though the volume is right.  Incidence taken from Qhull's dual facets
+keeps every such vertex with exactly its own planes, so the surface
+stays closed and edge-manifold.
 """
 
 import numpy as np
-import pytest
 
 from planecode import decode_convex, encode_convex, read_code, write_code
 from planecode.shapes import random_hull_mesh
 
 
-@pytest.mark.xfail(strict=True, reason="float32 codes decode to open, non-manifold hulls")
 def test_hulls_decode_watertight_after_the_float32_round_trip():
     for seed in range(6):
         for n_points in (16, 32, 64):

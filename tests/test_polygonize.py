@@ -20,6 +20,8 @@ from planecode import (
     segment_mesh,
     shapes,
 )
+from planecode.cli import main
+from planecode.mesh_io import write_obj
 from planecode.polygonize import _pencil_plane
 from planecode.segmentation import MeshPart, PartKind
 
@@ -188,3 +190,36 @@ def test_polygonize_is_stable_across_a_decode_round_trip(cube_mesh):
     back = decode_segmented(encode_segmented(cube_mesh))
     again = polygonize_part(back, segment_mesh(back)[0])
     assert np.abs(face_triplets(first) - face_triplets(again)).max() < EPS
+
+
+def caps_first_star_prism(k=4, outer=1.0, inner=0.45, height=0.6):
+    """Extruded k-pointed star, cap fans from the centre listed before the sides."""
+    t = np.pi * np.arange(2 * k) / k
+    r = np.where(np.arange(2 * k) % 2 == 0, outer, inner)
+    ring = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    m = len(ring)
+    verts = [(x, y, 0.0) for x, y in ring] + [(x, y, height) for x, y in ring]
+    verts += [(0.0, 0.0, 0.0), (0.0, 0.0, height)]
+    bottom, top = 2 * m, 2 * m + 1
+    tris = []
+    for i in range(m):
+        j = (i + 1) % m
+        tris += [(top, m + i, m + j), (bottom, j, i)]
+    for i in range(m):
+        j = (i + 1) % m
+        tris += [(i, j, m + j), (i, m + j, m + i)]
+    return TriangleMesh(np.array(verts), tris)
+
+
+def test_encoding_refuses_a_part_its_decoder_would_reject(tmp_path):
+    star = caps_first_star_prism()
+    assert star.is_closed and star.is_consistently_oriented
+    with pytest.raises(PartUndecodable, match="part 0") as err:
+        encode_segmented(star)
+    assert err.value.part_index == 0
+
+    mesh_path = tmp_path / "star.obj"
+    mesh_path.write_text(write_obj(star))
+    out = tmp_path / "star.plnc"
+    assert main(["encode", str(mesh_path), str(out)]) == 3
+    assert not out.exists()
