@@ -145,8 +145,9 @@ class ConvexPolyhedron:
         self.redundant_planes = redundant_planes
 
     def to_mesh(self):
+        """Fan triangulation of the rings, a ring shared by duplicate planes once."""
         tris = []
-        for ring in self.faces:
+        for ring in dict.fromkeys(map(tuple, self.faces)):
             for k in range(1, len(ring) - 1):
                 tris.append((ring[0], ring[k], ring[k + 1]))
         return TriangleMesh(self.vertices, np.asarray(tris, dtype=np.int64))

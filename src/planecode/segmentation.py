@@ -7,10 +7,17 @@ of triangles in which every pair is positive; pseudo-concave demands
 every pair negative.  Growth is greedy and deterministic: lowest-index
 seeds, candidates explored in index order, admission checked against
 all current members.
+
+The check against all members costs O(1) per candidate: a growing part
+keeps, for every triangle, the largest signed distance of its corners
+to the members' planes and of the members' corners to its plane (signs
+flipped for pseudo-concave parts), and folds each new member into both
+running maxima with one O(T) numpy update.  No pairwise table is kept.
 """
 
 import enum
 import heapq
+import itertools
 
 import numpy as np
 
@@ -79,8 +86,21 @@ def segment_mesh(mesh, eps=None):
     A new part needs a seed pair that is strictly of its kind (a real
     convex or reflex dihedral); coplanar neighbors satisfy both closed
     half-space conditions, so they can join a growing part of either
-    kind but never start one.  The result is a partition: every
-    triangle index appears in exactly one part.
+    kind but never start one.  The seed is the lowest-index unassigned
+    triangle with such an unassigned neighbor; candidates are the
+    unassigned neighbors of the members, popped lowest index first, and
+    one refusal bars a triangle from the whole part.
+
+    A growing part keeps two running maxima over its members m, with
+    sigma = +1 for pseudo-convex and -1 for pseudo-concave: for every
+    triangle t, ``out_t[t]``, the largest sigma-signed distance of a
+    corner of t to a member's plane, and ``out_m[t]``, the largest
+    sigma-signed distance of a member's corner to the plane of t.  A
+    candidate is admitted when both are at most ``eps``, which is the
+    pairwise test against every member; each admission folds the new
+    member's distances into both maxima in one O(T) numpy update.  The
+    result is a partition: every triangle index appears in exactly one
+    part.
     """
     if not mesh.is_edge_manifold:
         raise NonManifold("an edge is shared by more than two triangles")
@@ -93,70 +113,77 @@ def segment_mesh(mesh, eps=None):
 
     nt = len(mesh.triangles)
     corners = mesh.vertices[mesh.triangles]
+    flat = corners.reshape(-1, 3)
     normals, offs = triangle_planes(corners[:, 0], corners[:, 1], corners[:, 2])
     neighbors = mesh.neighbors
-
-    cache = {}
-
-    def conditions(i, j):
-        """(mutually nonpositive, mutually nonnegative) for a pair.
-
-        The first flag says each triangle lies in the closed negative
-        half-space of the other's plane, the second the mirror image.
-        Coplanar pairs satisfy both; such pairs may join a part of
-        either kind but are too weak to seed one.
-        """
-        key = (i, j) if i < j else (j, i)
-        got = cache.get(key)
-        if got is None:
-            d_ij = corners[j] @ normals[i] - offs[i]
-            d_ji = corners[i] @ normals[j] - offs[j]
-            got = (
-                bool((d_ij <= eps).all() and (d_ji <= eps).all()),
-                bool((d_ij >= -eps).all() and (d_ji >= -eps).all()),
-            )
-            cache[key] = got
-        return got
+    seed_pairs = _strict_neighbors(corners, normals, offs, neighbors, eps)
 
     assigned = np.zeros(nt, dtype=bool)
     parts = []
-    for side, kind in ((0, PartKind.PSEUDO_CONVEX), (1, PartKind.PSEUDO_CONCAVE)):
+    for sigma, kind in ((1.0, PartKind.PSEUDO_CONVEX), (-1.0, PartKind.PSEUDO_CONCAVE)):
+        strict = seed_pairs[kind]
+        # assignment only grows, so a triangle that fails the seed test
+        # fails it for the rest of the side: the scan resumes, not restarts
+        seed = 0
         while True:
-            seed = -1
-            for t in range(nt):
-                if assigned[t]:
-                    continue
-                if any(
-                    not assigned[nb]
-                    and conditions(t, nb)[side]
-                    and not conditions(t, nb)[1 - side]
-                    for nb in neighbors[t]
-                ):
-                    seed = t
-                    break
-            if seed < 0:
+            while seed < nt and (
+                assigned[seed] or all(assigned[nb] for nb in strict[seed])
+            ):
+                seed += 1
+            if seed == nt:
                 break
-            members = [seed]
-            assigned[seed] = True
+            out_t = np.full(nt, -np.inf)
+            out_m = np.full(nt, -np.inf)
+            members = []
             rejected = set()
-            heap = [nb for nb in neighbors[seed] if not assigned[nb]]
-            heapq.heapify(heap)
+            heap = [seed]
             while heap:
                 t = heapq.heappop(heap)
                 if assigned[t] or t in rejected:
                     continue
-                if all(conditions(t, m)[side] for m in members):
-                    assigned[t] = True
-                    members.append(t)
-                    for nb in neighbors[t]:
-                        if not assigned[nb] and nb not in rejected:
-                            heapq.heappush(heap, nb)
-                else:
+                if not (out_t[t] <= eps and out_m[t] <= eps):
                     # one refusal bars this triangle from the whole part
                     rejected.add(t)
+                    continue
+                assigned[t] = True
+                members.append(t)
+                d_t = (sigma * (flat @ normals[t] - offs[t])).reshape(nt, 3)
+                for c in range(3):
+                    np.maximum(out_t, d_t[:, c], out=out_t)
+                    np.maximum(out_m, sigma * (normals @ corners[t, c] - offs), out=out_m)
+                for nb in neighbors[t]:
+                    if not assigned[nb] and nb not in rejected:
+                        heapq.heappush(heap, nb)
             parts.append(MeshPart(kind, members))
 
     for t in range(nt):
         if not assigned[t]:
             parts.append(MeshPart(PartKind.PSEUDO_CONVEX, [t]))
     return parts
+
+
+def _strict_neighbors(corners, normals, offs, neighbors, eps):
+    """Per kind, each triangle's neighbors that form a pair strictly of it.
+
+    A neighbor pair is mutually nonpositive when each triangle lies in
+    the closed negative half-space of the other's plane, mutually
+    nonnegative in the mirror case.  Coplanar pairs are both, so they
+    count for neither kind.  All pairs are tested in one batch.
+    """
+    i = np.repeat(np.arange(len(neighbors)), [len(nb) for nb in neighbors])
+    j = np.fromiter(itertools.chain.from_iterable(neighbors), dtype=np.int64, count=len(i))
+    # corners of one triangle against the other's plane, each way
+    d_ij = np.matmul(corners[j], normals[i][:, :, None])[:, :, 0] - offs[i][:, None]
+    d_ji = np.matmul(corners[i], normals[j][:, :, None])[:, :, 0] - offs[j][:, None]
+    below = (d_ij <= eps).all(axis=1) & (d_ji <= eps).all(axis=1)
+    above = (d_ij >= -eps).all(axis=1) & (d_ji >= -eps).all(axis=1)
+    out = {}
+    for kind, flag in (
+        (PartKind.PSEUDO_CONVEX, below & ~above),
+        (PartKind.PSEUDO_CONCAVE, above & ~below),
+    ):
+        lists = [[] for _ in neighbors]
+        for a, b in zip(i[flag].tolist(), j[flag].tolist()):
+            lists[a].append(b)
+        out[kind] = lists
+    return out

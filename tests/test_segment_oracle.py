@@ -1,0 +1,288 @@
+"""segment_mesh against the pairwise greedy it replaced.
+
+``pairwise_segment_mesh`` below is the earlier implementation, kept
+verbatim as the oracle: it tests every candidate against every current
+member through a cache of pair conditions.  The running-maxima greedy
+in ``planecode.segmentation`` must give the same part table, kinds and
+member order included, on fixtures, their grid-cut tessellations (also
+read back through float32 STL), cap-first extrusions and seeded hulls.
+"""
+
+import heapq
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from planecode import TriangleMesh, load_mesh, segment_mesh, shapes, write_stl_binary
+from planecode.errors import InconsistentOrientation, NonManifold
+from planecode.geometry import triangle_planes
+from planecode.segmentation import EPS_ORIENT_REL, MeshPart, PartKind
+
+from conftest import seeded_hulls
+
+
+def pairwise_segment_mesh(mesh, eps=None):
+    if not mesh.is_edge_manifold:
+        raise NonManifold("an edge is shared by more than two triangles")
+    if not mesh.is_consistently_oriented:
+        raise InconsistentOrientation(
+            "adjacent triangles disagree on winding direction"
+        )
+    if eps is None:
+        eps = EPS_ORIENT_REL * mesh.bbox_diagonal()
+
+    nt = len(mesh.triangles)
+    corners = mesh.vertices[mesh.triangles]
+    normals, offs = triangle_planes(corners[:, 0], corners[:, 1], corners[:, 2])
+    neighbors = mesh.neighbors
+
+    cache = {}
+
+    def conditions(i, j):
+        """(mutually nonpositive, mutually nonnegative) for a pair.
+
+        The first flag says each triangle lies in the closed negative
+        half-space of the other's plane, the second the mirror image.
+        Coplanar pairs satisfy both; such pairs may join a part of
+        either kind but are too weak to seed one.
+        """
+        key = (i, j) if i < j else (j, i)
+        got = cache.get(key)
+        if got is None:
+            d_ij = corners[j] @ normals[i] - offs[i]
+            d_ji = corners[i] @ normals[j] - offs[j]
+            got = (
+                bool((d_ij <= eps).all() and (d_ji <= eps).all()),
+                bool((d_ij >= -eps).all() and (d_ji >= -eps).all()),
+            )
+            cache[key] = got
+        return got
+
+    assigned = np.zeros(nt, dtype=bool)
+    parts = []
+    for side, kind in ((0, PartKind.PSEUDO_CONVEX), (1, PartKind.PSEUDO_CONCAVE)):
+        while True:
+            seed = -1
+            for t in range(nt):
+                if assigned[t]:
+                    continue
+                if any(
+                    not assigned[nb]
+                    and conditions(t, nb)[side]
+                    and not conditions(t, nb)[1 - side]
+                    for nb in neighbors[t]
+                ):
+                    seed = t
+                    break
+            if seed < 0:
+                break
+            members = [seed]
+            assigned[seed] = True
+            rejected = set()
+            heap = [nb for nb in neighbors[seed] if not assigned[nb]]
+            heapq.heapify(heap)
+            while heap:
+                t = heapq.heappop(heap)
+                if assigned[t] or t in rejected:
+                    continue
+                if all(conditions(t, m)[side] for m in members):
+                    assigned[t] = True
+                    members.append(t)
+                    for nb in neighbors[t]:
+                        if not assigned[nb] and nb not in rejected:
+                            heapq.heappush(heap, nb)
+                else:
+                    # one refusal bars this triangle from the whole part
+                    rejected.add(t)
+            parts.append(MeshPart(kind, members))
+
+    for t in range(nt):
+        if not assigned[t]:
+            parts.append(MeshPart(PartKind.PSEUDO_CONVEX, [t]))
+    return parts
+
+
+def part_table(parts):
+    """(kind, members) per part, members in admission order."""
+    return [(p.kind, list(p.triangles)) for p in parts]
+
+
+def assert_matches_oracle(mesh):
+    assert part_table(segment_mesh(mesh)) == part_table(pairwise_segment_mesh(mesh))
+
+
+# -- mesh builders -----------------------------------------------------
+
+GRID_FIXTURES = {
+    "notched_box": shapes.notched_box,
+    "two_notch_box": shapes.two_notch_box,
+    "l_prism": shapes.l_prism,
+}
+
+
+def grid_cut(mesh, g):
+    """Cut every quad of a two-triangles-per-quad fixture into a g x g grid.
+
+    A point on a quad edge is computed from the edge's lower vertex
+    index, so both quads sharing the edge get the same coordinates and
+    the surface stays closed.  Triangles keep the fixture's quad order.
+    """
+    pts = mesh.vertices
+    verts = list(pts)
+    ids = {}
+
+    def point(key, p):
+        if key not in ids:
+            ids[key] = len(verts)
+            verts.append(p)
+        return ids[key]
+
+    def on_edge(u, w, k):
+        if k == 0:
+            return u
+        if k == g:
+            return w
+        if u > w:
+            u, w, k = w, u, g - k
+        return point(("edge", u, w, k), pts[u] + (k / g) * (pts[w] - pts[u]))
+
+    tris = []
+    for q, (first, second) in enumerate(zip(mesh.triangles[0::2], mesh.triangles[1::2])):
+        a, b, c = (int(v) for v in first)
+        d = int(second[2])
+        grid = {}
+        for i in range(g + 1):
+            for j in range(g + 1):
+                if j == 0:
+                    grid[i, j] = on_edge(a, b, i)
+                elif j == g:
+                    grid[i, j] = on_edge(d, c, i)
+                elif i == 0:
+                    grid[i, j] = on_edge(a, d, j)
+                elif i == g:
+                    grid[i, j] = on_edge(b, c, j)
+                else:
+                    s, t = i / g, j / g
+                    p = ((1 - s) * (1 - t)) * pts[a] + (s * (1 - t)) * pts[b] \
+                        + (s * t) * pts[c] + ((1 - s) * t) * pts[d]
+                    grid[i, j] = point(("quad", q, i, j), p)
+        for j in range(g):
+            for i in range(g):
+                tris.append((grid[i, j], grid[i + 1, j], grid[i + 1, j + 1]))
+                tris.append((grid[i, j], grid[i + 1, j + 1], grid[i, j + 1]))
+    return TriangleMesh(np.array(verts), tris)
+
+
+def via_float32_stl(mesh):
+    return load_mesh(write_stl_binary(mesh), "stl")
+
+
+def extrude(profile, height, center_fan):
+    """Prism over a counterclockwise xy polygon, cap triangles listed first."""
+    m = len(profile)
+    verts = [(x, y, 0.0) for x, y in profile] + [(x, y, height) for x, y in profile]
+    tris = []
+    if center_fan:
+        verts += [(0.0, 0.0, 0.0), (0.0, 0.0, height)]
+        for i in range(m):
+            j = (i + 1) % m
+            tris.append((2 * m + 1, m + i, m + j))
+            tris.append((2 * m, j, i))
+    else:
+        for i in range(1, m - 1):
+            tris.append((m, m + i, m + i + 1))
+            tris.append((0, i + 1, i))
+    for i in range(m):
+        j = (i + 1) % m
+        tris.append((i, j, m + j))
+        tris.append((i, m + j, m + i))
+    return TriangleMesh(np.array(verts), tris)
+
+
+def star_prism(k):
+    profile = [
+        ((1.0 if s % 2 == 0 else 0.45) * math.cos(math.pi * s / k),
+         (1.0 if s % 2 == 0 else 0.45) * math.sin(math.pi * s / k))
+        for s in range(2 * k)
+    ]
+    return extrude(profile, 0.6, center_fan=True)
+
+
+def staircase(k):
+    profile = [(0.0, 0.0), (float(k), 0.0)]
+    for s in range(1, k + 1):
+        profile += [(float(k - s + 1), float(s)), (float(k - s), float(s))]
+    return extrude(profile, 1.0, center_fan=False)
+
+
+def rotations():
+    """The 24 signed axis permutations with determinant +1."""
+    out = []
+    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)):
+        for signs in np.ndindex(2, 2, 2):
+            r = np.zeros((3, 3))
+            r[range(3), perm] = [1.0 - 2.0 * s for s in signs]
+            if np.linalg.det(r) > 0:
+                out.append(r)
+    return out
+
+
+ROTATIONS = rotations()
+
+
+# -- oracle comparisons ------------------------------------------------
+
+def test_fixtures_match_the_oracle(corpus_meshes):
+    for name, mesh in corpus_meshes.items():
+        assert part_table(segment_mesh(mesh)) == part_table(pairwise_segment_mesh(mesh)), name
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(GRID_FIXTURES))
+def test_grid_cut_fixtures_match_the_oracle(name, g):
+    assert_matches_oracle(grid_cut(GRID_FIXTURES[name](), g))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(GRID_FIXTURES))
+def test_float32_stl_grid_cuts_match_the_oracle(name, g):
+    assert_matches_oracle(via_float32_stl(grid_cut(GRID_FIXTURES[name](), g)))
+
+
+@pytest.mark.parametrize("k", [4, 5, 8])
+def test_cap_first_star_prisms_match_the_oracle(k):
+    assert_matches_oracle(star_prism(k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cap_first_staircases_match_the_oracle(k):
+    assert_matches_oracle(staircase(k))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_hulls_match_the_oracle(seed):
+    for hull in seeded_hulls(200 + seed, 4, lo=8, hi=200):
+        assert_matches_oracle(hull)
+
+
+def test_grid_cuts_are_closed_and_oriented():
+    for make in GRID_FIXTURES.values():
+        mesh = grid_cut(make(), 3)
+        assert mesh.is_closed and mesh.is_consistently_oriented
+        assert mesh.volume() == pytest.approx(make().volume(), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["cube", "tetrahedron", "open_box", "l_prism", "notched_box", "two_notch_box"]),
+    rot=st.integers(0, len(ROTATIONS) - 1),
+    shift=st.tuples(*[st.integers(-16, 16)] * 3),
+)
+def test_exact_axis_motions_keep_the_part_table(name, rot, shift):
+    mesh = getattr(shapes, name)()
+    moved = TriangleMesh(
+        mesh.vertices @ ROTATIONS[rot].T + np.asarray(shift) / 2.0, mesh.triangles
+    )
+    assert part_table(segment_mesh(moved)) == part_table(segment_mesh(mesh))

@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from planecode import (
     InconsistentOrientation,
@@ -159,3 +162,26 @@ def test_part_repr_is_compact(cube_mesh):
     part = segment_mesh(cube_mesh)[0]
     assert "pseudo-convex" in repr(part)
     assert "12" in repr(part)
+
+
+def sphere_hull(rng, n_points):
+    """Outward hull of random unit vectors: every point is a vertex, 2n - 4 triangles."""
+    pts = rng.standard_normal((n_points, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    hull = ConvexHull(pts)
+    tris = hull.simplices.copy()
+    a, b, c = (pts[tris[:, k]] for k in range(3))
+    flip = (np.cross(b - a, c - b) * hull.equations[:, :3]).sum(axis=1) < 0
+    tris[flip] = tris[flip][:, ::-1]
+    return TriangleMesh(pts, tris)
+
+
+def test_a_1020_triangle_hull_segments_in_well_under_a_second():
+    # admission by pairwise tests against every member took 6-9 s on this mesh
+    mesh = sphere_hull(np.random.default_rng(512), 512)
+    assert len(mesh.triangles) == 1020
+    t0 = time.perf_counter()
+    parts = segment_mesh(mesh)
+    elapsed = time.perf_counter() - t0
+    assert [(p.kind, len(p.triangles)) for p in parts] == [(PartKind.PSEUDO_CONVEX, 1020)]
+    assert elapsed < 1.0
