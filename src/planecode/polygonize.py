@@ -385,8 +385,10 @@ def decode_segmented(code, eps=None):
 
     Convex parts decode directly; concave parts decode with negated
     face planes and flipped windings.  Faces contributed by cutting
-    planes are dropped, so open parts stay open.  Part surfaces are
-    then welded on coincident vertices.
+    planes are dropped, so open parts stay open, and a ring shared by
+    exact duplicate face planes is emitted once, as in
+    ``ConvexPolyhedron.to_mesh``.  Part surfaces are then welded on
+    coincident vertices.
     """
     if not code.parts:
         raise EmptyRegion("segmented code has no parts")
@@ -395,9 +397,12 @@ def decode_segmented(code, eps=None):
         poly = decode_part(part, i, eps=eps)
         concave = part.kind is PartKind.PSEUDO_CONCAVE
         n_face = len(part.face_planes)
-        for ring, plane_idx in zip(poly.faces, poly.face_planes):
-            if plane_idx >= n_face:
-                continue
+        rings = dict.fromkeys(
+            tuple(ring)
+            for ring, plane_idx in zip(poly.faces, poly.face_planes)
+            if plane_idx < n_face
+        )
+        for ring in rings:
             pts = poly.vertices[np.asarray(ring)]
             if concave:
                 pts = pts[::-1]

@@ -5,7 +5,14 @@ area pass is single-sweep against the original decode, so removals do
 not cascade.  The merge pass unions adjacent planes greedily; a cluster
 is represented by its evolving area-weighted direction sum, which stops
 long chains of slightly-tilted planes from collapsing into one.
+
+Each distinct plane set is decoded once, always with the caller's
+``eps``: the decode of the input serves the area pass, and the merge
+pass reuses it when the area pass drops nothing, or else the decode
+that checks the kept planes still bound a solid.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -29,28 +36,38 @@ class SimplifyParams:
         self.tau = float(tau)
 
 
-def _ring_metrics(pts):
-    """(area, area centroid) of a planar convex ring."""
-    if len(pts) < 3:
-        return 0.0, pts.mean(axis=0)
-    v0 = pts[0]
-    cross = np.cross(pts[1:-1] - v0, pts[2:] - v0)
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    total = float(areas.sum())
-    if total <= 0.0:
-        return 0.0, pts.mean(axis=0)
-    centers = (v0 + pts[1:-1] + pts[2:]) / 3.0
-    return total, (centers * areas[:, None]).sum(axis=0) / total
-
-
 def _face_measurements(poly, n_planes):
-    """Per-plane decoded face area and centroid; zeros when faceless."""
+    """Per-plane decoded face area and area centroid; zeros when faceless.
+
+    Each ring is fanned from its first vertex.  Rings of one length are
+    measured together, as one (rings, triangles) batch whose per-ring
+    sums run in the same order as a single ring's would.  A ring with
+    no area (fewer than three vertices, or collinear) gets area zero
+    and the mean of its vertices.
+    """
     areas = np.zeros(n_planes)
     centroids = np.zeros((n_planes, 3))
-    for ring, idx in zip(poly.faces, poly.face_planes):
-        a, c = _ring_metrics(poly.vertices[np.asarray(ring)])
-        areas[idx] = a
-        centroids[idx] = c
+    sizes = np.fromiter(map(len, poly.faces), dtype=np.int64, count=len(poly.faces))
+    owner = np.asarray(poly.face_planes, dtype=np.int64)
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        pts = poly.vertices[np.array([poly.faces[r] for r in rows.tolist()])]
+        if k >= 3:
+            v0 = pts[:, :1]
+            tri = 0.5 * np.linalg.norm(
+                np.cross(pts[:, 1:-1] - v0, pts[:, 2:] - v0), axis=2
+            )
+            total = tri.sum(axis=1)
+            centers = (v0 + pts[:, 1:-1] + pts[:, 2:]) / 3.0
+            spans = total > 0.0
+            areas[owner[rows[spans]]] = total[spans]
+            centroids[owner[rows[spans]]] = (
+                (centers[spans] * tri[spans, :, None]).sum(axis=1)
+                / total[spans, None]
+            )
+            rows, pts = rows[~spans], pts[~spans]
+        for r, ring_pts in zip(rows.tolist(), pts):
+            centroids[owner[r]] = ring_pts.mean(axis=0)
     return areas, centroids
 
 
@@ -78,32 +95,41 @@ def drop_small_faces(code, params, eps=None):
     zero, so any positive delta discards them while delta = 0 is the
     exact identity.
     """
-    poly = decode_convex(code, eps=eps)
-    areas, _ = _face_measurements(poly, len(code))
+    areas, _ = _face_measurements(decode_convex(code, eps=eps), len(code))
+    return _drop_small(code, areas, params, eps)[0]
+
+
+def _drop_small(code, areas, params, eps):
+    """drop_small_faces on measured ``areas``: the kept planes and their decode.
+
+    The decode is None when every plane is kept, since it would repeat
+    the decode the areas came from.
+    """
     out = code[areas >= params.delta]
     if len(out) < 4:
         raise OverSimplified(
             "only %d plane(s) would remain" % len(out)
         )
+    if len(out) == len(code):
+        return out, None
     try:
-        decode_convex(out, eps=eps)
+        return out, decode_convex(out, eps=eps)
     except GeometryError as exc:
         raise OverSimplified("remaining planes do not bound a solid: %s" % exc)
-    return out
 
 
-def merge_near_parallel(code, adjacency, params):
+def merge_near_parallel(code, adjacency, params, eps=None):
     """Union adjacent planes whose directions differ by less than tau.
 
     Clusters are replaced by one plane: the normalized area-weighted
     direction sum, offset so the plane passes through the cluster's
     area centroid.  A cluster's direction evolves as it grows, so each
-    union is judged against the merged direction, not the seeds'.
+    union is judged against the merged direction, not the seeds'.  The
+    faces are measured on ``decode_convex(code, eps=eps)``.
     """
     if params.tau <= 0.0 or not len(code):
         return code
-    poly = decode_convex(code)
-    areas, centroids = _face_measurements(poly, len(code))
+    areas, centroids = _face_measurements(decode_convex(code, eps=eps), len(code))
     return _merge_with_metrics(code, areas, centroids, adjacency, params)
 
 
@@ -117,12 +143,18 @@ def simplify_code(code, params, eps=None):
         return SegmentedCode(
             [_simplify_part(p, i, params, eps) for i, p in enumerate(code.parts)]
         )
+    if params.delta <= 0.0 and params.tau <= 0.0:
+        return code
+    poly = decode_convex(code, eps=eps)
+    areas, centroids = _face_measurements(poly, len(code))
     out = code
     if params.delta > 0.0:
-        out = drop_small_faces(out, params, eps=eps)
+        out, kept = _drop_small(code, areas, params, eps)
+        if kept is not None:
+            poly = kept
+            areas, centroids = _face_measurements(poly, len(out))
     if params.tau > 0.0:
-        poly = decode_convex(out, eps=eps)
-        out = merge_near_parallel(out, face_adjacency(poly), params)
+        out = _merge_with_metrics(out, areas, centroids, face_adjacency(poly), params)
     return out
 
 
@@ -133,27 +165,29 @@ def _simplify_part(part, index, params, eps):
     def part_poly(face_planes):
         return decode_part(PartCode(part.kind, face_planes, boundary), index, eps=eps)
 
+    if params.delta <= 0.0 and (params.tau <= 0.0 or not len(faces)):
+        return PartCode(part.kind, faces, boundary)
+    poly = part_poly(faces)
+    areas, centroids = _face_measurements(poly, len(faces) + len(boundary))
     if params.delta > 0.0:
-        poly = part_poly(faces)
-        areas, _ = _face_measurements(poly, len(faces) + len(boundary))
         kept = faces[areas[: len(faces)] >= params.delta]
         if not len(kept):
             raise OverSimplified("part %d would lose every face plane" % index)
-        try:
-            part_poly(kept)
-        except PartUndecodable:
-            raise OverSimplified(
-                "part %d no longer bounds a solid after area pass" % index
-            )
+        if len(kept) < len(faces):
+            try:
+                poly = part_poly(kept)
+            except PartUndecodable:
+                raise OverSimplified(
+                    "part %d no longer bounds a solid after area pass" % index
+                )
+            areas, centroids = _face_measurements(poly, len(kept) + len(boundary))
         faces = kept
 
-    if params.tau > 0.0 and len(faces):
-        poly = part_poly(faces)
+    if params.tau > 0.0:
         n_face = len(faces)
         adjacency = [
             (i, j) for i, j in face_adjacency(poly) if i < n_face and j < n_face
         ]
-        areas, centroids = _face_measurements(poly, n_face + len(boundary))
         faces = _merge_with_metrics(
             faces, areas[:n_face], centroids[:n_face], adjacency, params
         )
@@ -192,15 +226,15 @@ def _merge_with_metrics(planes, areas, centroids, adjacency, params):
     if not merged_any:
         return planes
     scale = max(1.0, float(np.abs(np.asarray(centroids)).max(initial=0.0)))
+    roots = [find(i) for i in range(n)]
+    size = Counter(roots)
     out = []
     emitted = set()
-    for i in range(n):
-        root = find(i)
+    for i, root in enumerate(roots):
         if root in emitted:
             continue
         emitted.add(root)
-        size = sum(1 for k in range(n) if find(k) == root)
-        if size == 1:
+        if size[root] == 1:
             out.append(planes[i])
             continue
         direction = dir_sum[root] / np.linalg.norm(dir_sum[root])

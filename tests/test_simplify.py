@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecode import (
+    EmptyRegion,
     OverSimplified,
     PartCode,
     PartUndecodable,
@@ -20,9 +21,12 @@ from planecode import (
     face_adjacency,
     merge_near_parallel,
     plane_from_normal_offset,
+    read_code,
     shapes,
     simplify_code,
+    write_code,
 )
+from planecode.cli import main
 
 CUBE_TRIPLETS = np.array(
     sorted(
@@ -174,3 +178,42 @@ def test_simplifying_an_undecodable_part_is_reported(staircase_mesh):
     bad = PartCode(whole.kind, PlaneSet(list(whole.face_planes)[:3]), whole.boundary_planes)
     with pytest.raises(PartUndecodable, match="part 0 undecodable"):
         simplify_code(SegmentedCode([bad]), SimplifyParams(delta=1e-9))
+
+
+def thin_slab():
+    """2e-3 x 2e-3 x 4e-10 box: decodable only with an eps below 2e-10.
+
+    The sides are short so the caps stay thin after float32 storage,
+    which tilts their normals by up to 1.5e-7 rad.
+    """
+    return PlaneSet(
+        [plane_from_normal_offset(n, 1e-3) for n in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))]
+        + [plane_from_normal_offset((0, 0, s), 2e-10) for s in (1, -1)]
+    )
+
+
+def test_every_simplify_decode_honours_the_callers_eps():
+    code = thin_slab()
+    with pytest.raises(EmptyRegion):
+        decode_convex(code)
+    decode_convex(code, eps=1e-12)
+    for params in (SimplifyParams(tau=np.radians(5)), SimplifyParams(delta=1e-15, tau=np.radians(5))):
+        out = simplify_code(code, params, eps=1e-12)
+        assert sorted_triplets(out).tobytes() == sorted_triplets(code).tobytes()
+    poly = decode_convex(code, eps=1e-12)
+    out = merge_near_parallel(code, face_adjacency(poly), SimplifyParams(tau=np.radians(5)), eps=1e-12)
+    assert out is code
+    with pytest.raises(EmptyRegion):
+        merge_near_parallel(code, face_adjacency(poly), SimplifyParams(tau=np.radians(5)))
+
+
+def test_cli_simplify_honours_eps(capsys, tmp_path):
+    src, dst = tmp_path / "slab.plnc", tmp_path / "out.plnc"
+    src.write_bytes(write_code(thin_slab()))
+    assert main(["simplify", str(src), str(dst), "--eps", "1e-12", "--tau", "5"]) == 0
+    assert "planes: 6 -> 6" in capsys.readouterr().out
+    # float32 angles tilt the caps, so the stored slab is a thin wedge
+    back = decode_convex(read_code(dst.read_bytes()), eps=1e-12).to_mesh()
+    assert back.is_closed and back.is_edge_manifold
+    assert main(["simplify", str(src), str(dst), "--tau", "5"]) == 3
+    assert "EmptyRegion" in capsys.readouterr().err
