@@ -45,15 +45,10 @@ from .errors import (
 )
 from .geometry import (
     OrientedPlane,
-    Side,
     SphericalDirection,
     angle_between,
-    classify_side,
     plane_from_normal_offset,
     plane_from_triangle,
-    plane_through_point,
-    spherical_from_unit_vector,
-    unit_vector_from_spherical,
 )
 from .mesh import TriangleMesh
 from .mesh_io import (
@@ -82,9 +77,6 @@ from .segmentation import (
 )
 from .simplify import (
     SimplifyParams,
-    drop_small_faces,
-    face_adjacency,
-    merge_near_parallel,
     simplify_code,
 )
 
@@ -119,7 +111,6 @@ __all__ = [
     "PlaneSet",
     "PolygonFace",
     "SegmentedCode",
-    "Side",
     "SimplifyParams",
     "SphericalDirection",
     "StorageReport",
@@ -132,28 +123,21 @@ __all__ = [
     "angle_between",
     "boundary_planes_for_part",
     "check_rotation",
-    "classify_side",
     "decode_convex",
     "decode_segmented",
-    "drop_small_faces",
     "encode_convex",
     "encode_segmented",
-    "face_adjacency",
     "load_mesh",
-    "merge_near_parallel",
     "mutual_orientation",
     "plane_from_normal_offset",
     "plane_from_triangle",
-    "plane_through_point",
     "polygonize_part",
     "read_code",
     "rotate_planes",
     "segment_mesh",
     "simplify_code",
-    "spherical_from_unit_vector",
     "storage_report",
     "translate_planes",
-    "unit_vector_from_spherical",
     "write_code",
     "write_obj",
     "write_stl_ascii",

@@ -91,21 +91,13 @@ def _parse_planes(data, offset, count, label):
         .astype(np.float64)
         .reshape(count, 3)
     )
-    nu, phi, h = raw[:, 0], raw[:, 1], raw[:, 2]
-    ok = (
-        (nu >= 0.0)
-        & (nu <= math.pi)
-        & (phi >= 0.0)
-        & (phi < TWO_PI)
-        & np.isfinite(h)
-    )
-    if not ok.all():
-        k = int(np.argmax(~ok))
+    try:
+        return PlaneSet.from_triplets(raw)
+    except ValueError as exc:
+        nu, phi, h = raw[exc.row].tolist()
         raise AngleOutOfRange(
-            "%s record %d holds (nu=%r, phi=%r, h=%r)"
-            % (label, k, float(nu[k]), float(phi[k]), float(h[k]))
+            "%s record %d holds (nu=%r, phi=%r, h=%r)" % (label, exc.row, nu, phi, h)
         )
-    return PlaneSet.from_triplets(raw)
 
 
 def read_code(data):

@@ -59,7 +59,9 @@ class PlaneSet:
     Indexing with an integer and iterating yield ``OrientedPlane``
     views; indexing with a slice or a boolean or index array yields a
     new PlaneSet.  Every constructor checks the angle ranges and that
-    the offsets are finite, raising ValueError.
+    the offsets are finite, raising ValueError; the check runs once per
+    stored array, and the views trust it rather than checking each row
+    again.
     """
 
     def __init__(self, planes=()):
@@ -101,8 +103,14 @@ class PlaneSet:
 
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
-            nu, phi, h = (float(x) for x in self._triplets[i])
-            return OrientedPlane(SphericalDirection(nu, phi), h)
+            # the row passed check_triplets when stored: fill the frozen
+            # dataclasses without running their __post_init__ checks
+            nu, phi, h = self._triplets[i].tolist()
+            direction = object.__new__(SphericalDirection)
+            direction.__dict__.update(nu=nu, phi=phi)
+            plane = object.__new__(OrientedPlane)
+            plane.__dict__.update(direction=direction, h=h)
+            return plane
         return PlaneSet.from_triplets(self._triplets[i])
 
     def __repr__(self):

@@ -6,9 +6,14 @@ half-space behind the normal (``omega . p <= h``) is written e- and the
 open half-space ahead of it e+.  Normals serialize as two angles
 ``(nu, phi)``: the polar angle from +z in ``[0, pi]`` and the azimuth
 from +x in ``[0, 2*pi)``.
+
+``check_triplets`` holds the one range check: nu in ``[0, pi]``, phi in
+``[0, 2*pi)``, h finite.  The ``SphericalDirection`` and
+``OrientedPlane`` constructors run it on every value they are given;
+``PlaneSet`` runs it once per stored array, and the plane views it
+hands out trust that check instead of repeating it.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -19,13 +24,6 @@ from .errors import DegenerateTriangle, NotUnitVector
 EPS_AREA = 1e-12
 EPS_UNIT = 1e-9
 TWO_PI = 2.0 * math.pi
-
-
-class Side(enum.Enum):
-    """Half-space classification; the boundary belongs to the negative side."""
-
-    NEGATIVE_CLOSED = "negative_closed"
-    POSITIVE = "positive"
 
 
 @dataclass(frozen=True)
@@ -72,18 +70,24 @@ class OrientedPlane:
 def check_triplets(triplets):
     """Raise ValueError unless every (nu, phi, h) row is in range.
 
-    nu must lie in [0, pi], phi in [0, 2*pi) and h must be finite; the
-    first offending value is named.
+    nu must lie in [0, pi], phi in [0, 2*pi) and h must be finite.  The
+    error names the first offending value of the first offending row
+    and carries that row's index as ``row``.
     """
     t = np.asarray(triplets, dtype=float).reshape(-1, 3)
     nu, phi, h = t[:, 0], t[:, 1], t[:, 2]
-    for ok, values, msg in (
+    checks = (
         ((nu >= 0.0) & (nu <= math.pi), nu, "nu %r outside [0, pi]"),
         ((phi >= 0.0) & (phi < TWO_PI), phi, "phi %r outside [0, 2*pi)"),
         (np.isfinite(h), h, "h must be finite, got %r"),
-    ):
-        if not ok.all():
-            raise ValueError(msg % (float(values[~ok][0]),))
+    )
+    bad = ~(checks[0][0] & checks[1][0] & checks[2][0])
+    if bad.any():
+        row = int(np.argmax(bad))
+        _, values, msg = next(c for c in checks if not c[0][row])
+        exc = ValueError(msg % (float(values[row]),))
+        exc.row = row
+        raise exc
 
 
 def spherical_angles(w):
@@ -146,12 +150,6 @@ def plane_from_triangle(p1, p2, p3, eps_area=EPS_AREA):
     return OrientedPlane(spherical_from_unit_vector(normals[0]), float(offsets[0]))
 
 
-def classify_side(plane, p, eps=0.0):
-    """NEGATIVE_CLOSED when omega . p - h <= eps, POSITIVE otherwise."""
-    d = float(plane.signed_distance(p))
-    return Side.NEGATIVE_CLOSED if d <= eps else Side.POSITIVE
-
-
 def plane_from_normal_offset(normal, h):
     """Plane from a direction vector (any nonzero length) and an offset.
 
@@ -164,12 +162,6 @@ def plane_from_normal_offset(normal, h):
         raise ValueError("normal must be a finite nonzero vector")
     n = n / ln
     return OrientedPlane(spherical_from_unit_vector(n), float(h) / ln)
-
-
-def plane_through_point(normal, point):
-    """Plane with the given direction passing through ``point``."""
-    n = np.asarray(normal, dtype=float)
-    return plane_from_normal_offset(n, float(n @ np.asarray(point, dtype=float)))
 
 
 def angle_between(u, v):

@@ -6,6 +6,7 @@ soups are welded on exact coordinate equality, which is enough for
 files we wrote ourselves; use OBJ when vertex identity matters.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -234,7 +235,9 @@ class StorageReport:
 
     ``plane_bytes`` is 12 bytes per stored plane (three 4-byte numbers).
     ``indexed_bytes`` is 12V + 12T, or 12V + 48Q when quadrangle
-    accounting is requested (Q maximal coplanar patches).
+    accounting is requested (Q maximal coplanar patches).  ``ratio`` is
+    indexed_bytes / plane_bytes, and ``math.inf`` for a code with no
+    planes.
     """
 
     def __init__(self, plane_count, vertex_count, triangle_count,
@@ -248,7 +251,10 @@ class StorageReport:
             self.indexed_bytes = 12 * vertex_count + 12 * triangle_count
         else:
             self.indexed_bytes = 12 * vertex_count + 48 * quad_count
-        self.ratio = self.indexed_bytes / self.plane_bytes
+        if self.plane_bytes:
+            self.ratio = self.indexed_bytes / self.plane_bytes
+        else:
+            self.ratio = math.inf
 
     def as_pairs(self):
         pairs = [

@@ -71,7 +71,7 @@ def _face_measurements(poly, n_planes):
     return areas, centroids
 
 
-def face_adjacency(poly):
+def _face_adjacency(poly):
     """Sorted plane-index pairs whose decoded faces share an edge."""
     owners = {}
     for ring, idx in zip(poly.faces, poly.face_planes):
@@ -88,22 +88,13 @@ def face_adjacency(poly):
     return sorted(pairs)
 
 
-def drop_small_faces(code, params, eps=None):
-    """Planes whose decoded face area is at least delta, in input order.
+def _drop_small(code, areas, params, eps):
+    """Planes whose measured face area is at least delta, and their decode.
 
     Planes with no face at all (redundant half-spaces) count as area
-    zero, so any positive delta discards them while delta = 0 is the
-    exact identity.
-    """
-    areas, _ = _face_measurements(decode_convex(code, eps=eps), len(code))
-    return _drop_small(code, areas, params, eps)[0]
-
-
-def _drop_small(code, areas, params, eps):
-    """drop_small_faces on measured ``areas``: the kept planes and their decode.
-
-    The decode is None when every plane is kept, since it would repeat
-    the decode the areas came from.
+    zero, so any positive delta discards them.  The decode is None when
+    every plane is kept, since it would repeat the decode the areas
+    came from.
     """
     out = code[areas >= params.delta]
     if len(out) < 4:
@@ -118,26 +109,15 @@ def _drop_small(code, areas, params, eps):
         raise OverSimplified("remaining planes do not bound a solid: %s" % exc)
 
 
-def merge_near_parallel(code, adjacency, params, eps=None):
-    """Union adjacent planes whose directions differ by less than tau.
-
-    Clusters are replaced by one plane: the normalized area-weighted
-    direction sum, offset so the plane passes through the cluster's
-    area centroid.  A cluster's direction evolves as it grows, so each
-    union is judged against the merged direction, not the seeds'.  The
-    faces are measured on ``decode_convex(code, eps=eps)``.
-    """
-    if params.tau <= 0.0 or not len(code):
-        return code
-    areas, centroids = _face_measurements(decode_convex(code, eps=eps), len(code))
-    return _merge_with_metrics(code, areas, centroids, adjacency, params)
-
-
 def simplify_code(code, params, eps=None):
     """Both passes, for a convex or a segmented code.
 
-    Segmented codes are simplified part by part on their face planes;
-    boundary cutting planes are never dropped or merged.
+    The area pass keeps the planes whose decoded face area is at least
+    ``params.delta``; a redundant plane has area zero, so delta = 0
+    keeps every plane.  The merge pass then unions adjacent planes
+    whose directions differ by less than ``params.tau`` (skipped at
+    tau = 0).  Segmented codes are simplified part by part on their
+    face planes; boundary cutting planes are never dropped or merged.
     """
     if isinstance(code, SegmentedCode):
         return SegmentedCode(
@@ -154,7 +134,7 @@ def simplify_code(code, params, eps=None):
             poly = kept
             areas, centroids = _face_measurements(poly, len(out))
     if params.tau > 0.0:
-        out = _merge_with_metrics(out, areas, centroids, face_adjacency(poly), params)
+        out = _merge_with_metrics(out, areas, centroids, _face_adjacency(poly), params)
     return out
 
 
@@ -186,7 +166,7 @@ def _simplify_part(part, index, params, eps):
     if params.tau > 0.0:
         n_face = len(faces)
         adjacency = [
-            (i, j) for i, j in face_adjacency(poly) if i < n_face and j < n_face
+            (i, j) for i, j in _face_adjacency(poly) if i < n_face and j < n_face
         ]
         faces = _merge_with_metrics(
             faces, areas[:n_face], centroids[:n_face], adjacency, params
@@ -195,7 +175,14 @@ def _simplify_part(part, index, params, eps):
 
 
 def _merge_with_metrics(planes, areas, centroids, adjacency, params):
-    """merge_near_parallel core against externally supplied metrics."""
+    """Union adjacent planes whose directions differ by less than tau.
+
+    Clusters are replaced by one plane: the normalized area-weighted
+    direction sum, offset so the plane passes through the cluster's
+    area centroid.  A cluster's direction evolves as it grows, so each
+    union is judged against the merged direction, not the seeds'.
+    ``areas`` and ``centroids`` are the measured faces of ``planes``.
+    """
     n = len(planes)
     normals = planes.normals()
     parent = list(range(n))
@@ -228,18 +215,17 @@ def _merge_with_metrics(planes, areas, centroids, adjacency, params):
     scale = max(1.0, float(np.abs(np.asarray(centroids)).max(initial=0.0)))
     roots = [find(i) for i in range(n)]
     size = Counter(roots)
-    out = []
+    rows = []
     emitted = set()
     for i, root in enumerate(roots):
         if root in emitted:
             continue
         emitted.add(root)
         if size[root] == 1:
-            out.append(planes[i])
+            rows.append(planes.triplets()[i])
             continue
         direction = dir_sum[root] / np.linalg.norm(dir_sum[root])
         centroid = cen_sum[root] / area_sum[root]
-        out.append(
-            snapped_plane(direction, float(direction @ centroid), scale=scale)
-        )
-    return PlaneSet(out)
+        p = snapped_plane(direction, float(direction @ centroid), scale=scale)
+        rows.append((p.direction.nu, p.direction.phi, p.h))
+    return PlaneSet.from_triplets(rows)

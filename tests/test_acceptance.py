@@ -23,7 +23,6 @@ from planecode import (
     boundary_planes_for_part,
     decode_convex,
     decode_segmented,
-    drop_small_faces,
     encode_convex,
     encode_segmented,
     plane_from_triangle,
@@ -187,10 +186,10 @@ def test_segmented_round_trip_preserves_area_and_volume():
 
 def test_lossy_passes_hold_their_thresholds():
     chamfered = shapes.chamfered_cube_code()
-    same = drop_small_faces(chamfered, SimplifyParams(delta=1e-4))
+    same = simplify_code(chamfered, SimplifyParams(delta=1e-4))
     assert np.abs(canonical_triplets(same) - canonical_triplets(chamfered)).max() == 0.0
 
-    stripped = drop_small_faces(chamfered, SimplifyParams(delta=0.05))
+    stripped = simplify_code(chamfered, SimplifyParams(delta=0.05))
     cube_set = canonical_triplets(encode_convex(shapes.cube()))
     assert np.abs(canonical_triplets(stripped) - cube_set).max() < 1e-12
 

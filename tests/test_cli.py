@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from planecode import (
+    PlaneSet,
+    SegmentedCode,
     decode_convex,
     encode_convex,
     load_mesh,
@@ -134,6 +136,20 @@ def test_stats_accounts_quads_when_asked(capsys, tmp_path, staircase_obj):
     assert "plane_bytes=264" in out
     assert "indexed_bytes=864" in out
     assert "quad_count=14" in out
+
+
+@pytest.mark.parametrize("empty", [PlaneSet([]), SegmentedCode([])], ids=["convex", "segmented"])
+def test_stats_of_a_code_without_planes_reports_an_infinite_ratio(capsys, tmp_path, cube_obj, empty):
+    code_path = tmp_path / "empty.plnc"
+    code_path.write_bytes(write_code(empty))
+    rc, out, _ = run(capsys, "stats", cube_obj, str(code_path))
+    assert rc == 0
+    assert "plane_bytes     0" in out
+    assert out.splitlines()[-1].split() == ["ratio", "inf"]
+    rc, out, _ = run(capsys, "stats", cube_obj, str(code_path), "--machine")
+    assert rc == 0
+    assert "plane_bytes=0" in out
+    assert "ratio=inf" in out.splitlines()
 
 
 def test_missing_input_exits_2(capsys, tmp_path):

@@ -9,17 +9,17 @@ from planecode import (
     DegenerateTriangle,
     NotUnitVector,
     OrientedPlane,
-    Side,
     SphericalDirection,
     angle_between,
-    classify_side,
     plane_from_normal_offset,
     plane_from_triangle,
-    plane_through_point,
+)
+from planecode.geometry import (
+    TWO_PI,
+    snapped_plane,
     spherical_from_unit_vector,
     unit_vector_from_spherical,
 )
-from planecode.geometry import TWO_PI, snapped_plane
 
 HALF = math.pi / 2.0
 
@@ -143,14 +143,6 @@ def test_degenerate_triangles_rejected():
         plane_from_triangle((0, 0, 0), (0, 0, 0), (1, 0, 0))
 
 
-def test_classify_side_boundary_is_negative():
-    p = plane_from_normal_offset((0, 0, 1.0), 1.0)
-    assert classify_side(p, (5, 5, 1.0)) is Side.NEGATIVE_CLOSED
-    assert classify_side(p, (0, 0, 0.5)) is Side.NEGATIVE_CLOSED
-    assert classify_side(p, (0, 0, 1.5)) is Side.POSITIVE
-    assert classify_side(p, (0, 0, 1.0 + 1e-9), eps=1e-6) is Side.NEGATIVE_CLOSED
-
-
 def test_plane_from_normal_offset_rescales_offset_with_normal():
     a = plane_from_normal_offset((2.0, 0, 0), 8.0)
     b = plane_from_normal_offset((1.0, 0, 0), 4.0)
@@ -160,12 +152,6 @@ def test_plane_from_normal_offset_rescales_offset_with_normal():
         plane_from_normal_offset((0, 0, 0), 1.0)
     with pytest.raises(ValueError):
         plane_from_normal_offset((np.inf, 0, 0), 1.0)
-
-
-def test_plane_through_point():
-    p = plane_through_point((0, 3.0, 0), (7, 2, 9))
-    assert np.allclose(p.normal, [0, 1, 0])
-    assert p.h == 2.0
 
 
 def test_angle_between_is_stable_at_the_ends():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from planecode import (
+    OrientedPlane,
     PlaneSet,
+    SphericalDirection,
     encode_convex,
     rotate_planes,
     translate_planes,
@@ -33,8 +35,14 @@ def test_array_constructor_rejects_out_of_range_rows():
 
 
 def test_arrays_match_the_scalar_views_bit_for_bit():
-    for hull in seeded_hulls(5, 4):
-        code = encode_convex(hull)
+    poles_and_wrap = PlaneSet.from_triplets(
+        [(0.0, 0.0, 1.0), (math.pi, 0.0, -2.0), (1.0, np.nextafter(TWO_PI, 0.0), 0.5)]
+    )
+    for code in [poles_and_wrap] + [encode_convex(hull) for hull in seeded_hulls(5, 4)]:
+        # the views skip the range check; the checked constructors agree
+        assert list(code) == [
+            OrientedPlane(SphericalDirection(nu, phi), h) for nu, phi, h in code.triplets().tolist()
+        ]
         assert np.array_equal(code.normals(), [p.normal for p in code])
         assert list(code.offsets()) == [p.h for p in code]
         flipped = [p.negated() for p in code]

@@ -15,11 +15,8 @@ from planecode import (
     SimplifyParams,
     decode_convex,
     decode_segmented,
-    drop_small_faces,
     encode_convex,
     encode_segmented,
-    face_adjacency,
-    merge_near_parallel,
     plane_from_normal_offset,
     read_code,
     shapes,
@@ -27,6 +24,7 @@ from planecode import (
     write_code,
 )
 from planecode.cli import main
+from planecode.simplify import _face_adjacency
 
 CUBE_TRIPLETS = np.array(
     sorted(
@@ -72,7 +70,7 @@ def test_params_default_to_the_identity():
 
 def test_zero_delta_keeps_every_plane_even_redundant_ones(cube_mesh):
     code = PlaneSet(list(encode_convex(cube_mesh)) + [plane_from_normal_offset((1, 0, 0), 2.0)])
-    out = drop_small_faces(code, SimplifyParams(delta=0.0))
+    out = simplify_code(code, SimplifyParams(delta=0.0))
     assert [(p.direction.nu, p.direction.phi, p.h) for p in out] == [
         (p.direction.nu, p.direction.phi, p.h) for p in code
     ]
@@ -80,39 +78,38 @@ def test_zero_delta_keeps_every_plane_even_redundant_ones(cube_mesh):
 
 def test_tiny_delta_discards_only_the_faceless_plane(cube_mesh):
     code = PlaneSet(list(encode_convex(cube_mesh)) + [plane_from_normal_offset((1, 0, 0), 2.0)])
-    out = drop_small_faces(code, SimplifyParams(delta=1e-9))
+    out = simplify_code(code, SimplifyParams(delta=1e-9))
     assert len(out) == 6
     assert np.abs(sorted_triplets(out) - CUBE_TRIPLETS).max() < 1e-12
 
 
 def test_delta_below_the_smallest_face_area_changes_nothing():
     code = shapes.chamfered_cube_code()
-    out = drop_small_faces(code, SimplifyParams(delta=1e-5))
+    out = simplify_code(code, SimplifyParams(delta=1e-5))
     assert np.abs(sorted_triplets(out) - sorted_triplets(code)).max() == 0.0
 
 
 def test_moderate_delta_drops_exactly_the_chamfer_plane():
-    out = drop_small_faces(shapes.chamfered_cube_code(), SimplifyParams(delta=0.05))
+    out = simplify_code(shapes.chamfered_cube_code(), SimplifyParams(delta=0.05))
     assert len(out) == 6
     assert np.abs(sorted_triplets(out) - CUBE_TRIPLETS).max() < 1e-12
 
 
 def test_overshooting_delta_is_rejected(cube_mesh):
     with pytest.raises(OverSimplified, match="0 plane"):
-        drop_small_faces(encode_convex(cube_mesh), SimplifyParams(delta=1e9))
+        simplify_code(encode_convex(cube_mesh), SimplifyParams(delta=1e9))
 
 
 def test_dropping_the_caps_of_a_thin_prism_is_rejected():
     # the six side planes that survive cannot bound a volume on their own
     with pytest.raises(OverSimplified, match="do not bound a solid"):
-        drop_small_faces(thin_hex_prism(), SimplifyParams(delta=1e-3))
+        simplify_code(thin_hex_prism(), SimplifyParams(delta=1e-3))
 
 
 def test_duplicate_planes_merge_to_the_shared_plane(cube_mesh):
     base = encode_convex(cube_mesh)
     doubled = PlaneSet(list(base) + [list(base)[0]])
-    poly = decode_convex(doubled)
-    out = merge_near_parallel(doubled, face_adjacency(poly), SimplifyParams(tau=np.radians(1)))
+    out = simplify_code(doubled, SimplifyParams(tau=np.radians(1)))
     assert len(out) == 6
     assert np.abs(sorted_triplets(out) - sorted_triplets(base)).max() == 0.0
 
@@ -129,16 +126,9 @@ def test_near_parallel_prism_sides_merge_in_pairs():
     assert abs(v_out - v_in) / v_in < 1e-3
 
 
-def test_zero_tau_merge_is_the_identity(cube_mesh):
-    code = encode_convex(cube_mesh)
-    poly = decode_convex(code)
-    out = merge_near_parallel(code, face_adjacency(poly), SimplifyParams())
-    assert list(out.triplets().ravel()) == list(code.triplets().ravel())
-
-
 def test_cube_face_adjacency_is_the_twelve_edges(cube_mesh):
     poly = decode_convex(encode_convex(cube_mesh))
-    pairs = face_adjacency(poly)
+    pairs = _face_adjacency(poly)
     assert len(pairs) == 12
     normals = np.array([p.normal for p in poly.planes])
     for a, b in pairs:
@@ -200,11 +190,9 @@ def test_every_simplify_decode_honours_the_callers_eps():
     for params in (SimplifyParams(tau=np.radians(5)), SimplifyParams(delta=1e-15, tau=np.radians(5))):
         out = simplify_code(code, params, eps=1e-12)
         assert sorted_triplets(out).tobytes() == sorted_triplets(code).tobytes()
-    poly = decode_convex(code, eps=1e-12)
-    out = merge_near_parallel(code, face_adjacency(poly), SimplifyParams(tau=np.radians(5)), eps=1e-12)
-    assert out is code
+    assert simplify_code(code, SimplifyParams(tau=np.radians(5)), eps=1e-12) is code
     with pytest.raises(EmptyRegion):
-        merge_near_parallel(code, face_adjacency(poly), SimplifyParams(tau=np.radians(5)))
+        simplify_code(code, SimplifyParams(tau=np.radians(5)))
 
 
 def test_cli_simplify_honours_eps(capsys, tmp_path):
