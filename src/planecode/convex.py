@@ -19,6 +19,7 @@ decode that negates pseudo-concave faces lives in
 ``polygonize.decode_part``.
 """
 
+import functools
 import itertools
 import math
 
@@ -31,7 +32,7 @@ from .geometry import (
     SNAP_AXIS,
     SphericalDirection,
     check_triplets,
-    snapped_plane,
+    snapped_triplet,
     spherical_angles,
     triangle_planes,
 )
@@ -39,6 +40,7 @@ from .mesh import TriangleMesh
 
 EPS_CONVEX_REL = 1e-7     # convexity slack per unit of bounding-box diagonal
 COND_LIMIT = 1e8          # triple solves beyond this condition number are skipped
+DET_CLEAR = 2.0 / COND_LIMIT * (1.0 + 1e-6)  # |det| above this proves cond < COND_LIMIT
 MAX_VERTEX_TRIPLES = 220  # triples averaged per vertex, C(12, 3): bounds the cost
 FEAS_REL = 1e-9           # least inscribed-ball radius per unit of max(1, |h|)
 COPLANAR_ANGLE = 1e-6     # radians; triangles closer than this may share a face
@@ -200,7 +202,10 @@ def decode_convex(code, eps=None):
     Qhull's half-space intersection (Barber, Dobkin and Huhdanpaa, ACM
     TOMS 1996) then gives one dual facet per vertex, listing the planes
     that meet there; the vertex is the mean, in combination order, of
-    the 3x3 solves of those planes' triples (``_vertex_points``).  Each
+    the 3x3 solves of those planes' triples (``_vertex_points``), with
+    triples of condition number COND_LIMIT or more skipped; a closed-form
+    determinant clears most triples, since cond(A) <= 2 / |det A| for
+    unit rows, and only the rest need an SVD condition estimate.  Each
     plane's ring holds exactly the vertices whose dual facets list it,
     in the order of their normal cones (``_rings``).
     An exact duplicate plane, which Qhull sees once, shares its first
@@ -225,11 +230,15 @@ def decode_convex(code, eps=None):
     feas = FEAS_REL * max(1.0, float(np.abs(offsets).max())) if eps is None else eps
 
     # Qhull sees each distinct plane once; ``first`` maps every plane to
-    # the index of its first exact copy
-    _, first_of_row, row = np.unique(
-        code.triplets(), axis=0, return_index=True, return_inverse=True
-    )
-    first = first_of_row[row.ravel()]
+    # the index of its first exact copy.  Equal rows sit side by side,
+    # first copy first, in the stable lexicographic order, which like
+    # ``==`` takes h = -0.0 and 0.0 as equal.
+    t = code.triplets()
+    order = np.lexsort((t[:, 2], t[:, 1], t[:, 0]))
+    ts = t[order]
+    first = np.arange(n)
+    for i in np.flatnonzero((ts[1:] == ts[:-1]).all(axis=1)).tolist():
+        first[order[i + 1]] = first[order[i]]
     kept = np.flatnonzero(first == np.arange(n))
     centre, radius = _chebyshev_centre(normals[kept], offsets[kept])
     if radius <= feas:
@@ -297,24 +306,19 @@ def _vertex_points(normals, offsets, flat, sizes, fallback):
 
     ``flat`` lists the facets' planes back to back, ``sizes`` their
     counts.  Triples are taken in combination order of the sorted
-    planes, at most MAX_VERTEX_TRIPLES of them, skipping solves with
-    condition number beyond COND_LIMIT, and summed in that order.  A
-    facet with no usable triple keeps Qhull's own intersection point
-    from ``fallback``.
+    planes (``_combinations``), at most MAX_VERTEX_TRIPLES of them,
+    skipping solves with condition number COND_LIMIT or more
+    (``_usable``), and summed in that order.  A facet with no usable
+    triple keeps Qhull's own intersection point from ``fallback``.
     """
     pts = np.array(fallback, dtype=float)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    for k in np.unique(sizes).tolist():
+    starts = np.cumsum(sizes) - sizes
+    for k in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == k)
         planes = np.sort(flat[starts[rows, None] + np.arange(k)], axis=1)
-        combos = np.array(
-            list(itertools.islice(itertools.combinations(range(k), 3), MAX_VERTEX_TRIPLES)),
-            dtype=np.int64,
-        )
-        triples = planes[:, combos]
+        triples = planes[:, _combinations(k)]
         a = normals[triples]
-        cond = np.linalg.cond(a)
-        ok = np.isfinite(cond) & (cond < COND_LIMIT)
+        ok = _usable(a)
         a[~ok] = np.eye(3)
         sol = np.linalg.solve(a, offsets[triples][:, :, :, None])[:, :, :, 0]
         # x + -0.0 == x for every x, so the skipped solves and the start
@@ -324,6 +328,40 @@ def _vertex_points(normals, offsets, flat, sizes, fallback):
         some = used > 0
         pts[rows[some]] = sol[some].sum(axis=1, initial=-0.0) / used[some, None]
     return pts
+
+
+def _usable(a):
+    """Which 3x3 matrices of unit rows in ``a`` have cond(A) < COND_LIMIT.
+
+    Most are cleared by their closed-form determinant instead of an
+    SVD.  For singular values s1 >= s2 >= s3 of A,
+    cond(A) = s1 / s3 = s1^2 s2 / |det A|, and unit rows give
+    s1^2 + s2^2 + s3^2 = 3, so s1^2 s2 <= 2 (the maximum of
+    x sqrt(3 - x), at x = 2).  A matrix with |det A| > DET_CLEAR, which
+    is 2 / COND_LIMIT widened by 1e-6 for rounding, therefore has
+    cond(A) < COND_LIMIT.  Only the others go through
+    ``np.linalg.cond``, so each answer is the one it would give.
+    Returns a boolean array of shape ``a.shape[:-2]``.
+    """
+    x0, y0, z0, x1, y1, z1, x2, y2, z2 = a.reshape(-1, 9).T.copy()
+    det = x0 * (y1 * z2 - z1 * y2) - y0 * (x1 * z2 - z1 * x2) + z0 * (x1 * y2 - y1 * x2)
+    ok = np.abs(det) > DET_CLEAR
+    if not ok.all():
+        near = ~ok
+        cond = np.linalg.cond(a.reshape(-1, 3, 3)[near])
+        ok[near] = np.isfinite(cond) & (cond < COND_LIMIT)
+    return ok.reshape(a.shape[:-2])
+
+
+@functools.lru_cache(maxsize=64)
+def _combinations(k):
+    """Read-only index array of the first MAX_VERTEX_TRIPLES triples of range(k)."""
+    combos = np.array(
+        list(itertools.islice(itertools.combinations(range(k), 3), MAX_VERTEX_TRIPLES)),
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    combos.flags.writeable = False
+    return combos
 
 
 def _rings(normals, cones, plane, vert):
@@ -339,26 +377,28 @@ def _rings(normals, cones, plane, vert):
     the vertices themselves, these angles stay apart when vertices lie
     closer than coordinate rounding.  Each ring then starts at its
     smallest vertex index.  Returns a dict from plane to ring.
+
+    The basis is built once per plane, with v written out as np.cross's
+    formula, so it rounds exactly as a basis built per pair would.
     """
-    w = normals[plane]
+    w = normals
     at = (np.arange(len(w)), np.argmin(np.abs(w), axis=1))
     u = -w * w[at][:, None]
     u[at] += 1.0
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(w, u)
+    w0, w1, w2 = w.T
+    u0, u1, u2 = u.T
+    v = np.stack([w1 * u2 - w2 * u1, w2 * u0 - w0 * u2, w0 * u1 - w1 * u0], axis=1)
     c = cones[vert]
-    ang = np.arctan2((c * v).sum(axis=1), (c * u).sum(axis=1))
+    ang = np.arctan2((c * v[plane]).sum(axis=1), (c * u[plane]).sum(axis=1))
     order = np.lexsort((ang, plane))
-    plane, vert = plane[order], vert[order]
-    starts = np.flatnonzero(np.r_[True, plane[1:] != plane[:-1]])
-    ends = np.r_[starts[1:], len(plane)]
-    group = np.repeat(np.arange(len(starts)), ends - starts)
-    pos = np.arange(len(plane)) - starts[group]
-    lowest = vert == np.minimum.reduceat(vert, starts)[group]
-    turn = (pos - pos[lowest][group]) % (ends - starts)[group]
-    vert = vert[np.lexsort((turn, group))].tolist()
-    rings = [vert[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-    return dict(zip(plane[starts].tolist(), rings))
+    rings = {}
+    for p, j in zip(plane[order].tolist(), vert[order].tolist()):
+        rings.setdefault(p, []).append(j)
+    for p, ring in rings.items():
+        k = ring.index(min(ring))
+        rings[p] = ring[k:] + ring[:k]
+    return rings
 
 
 def encode_convex(mesh, eps=None):
@@ -388,7 +428,7 @@ def encode_convex(mesh, eps=None):
             triangle_index=t,
         )
     patches = coplanar_patches(mesh, normals, offsets, eps)
-    return PlaneSet(patch_planes(mesh, patches, max(1.0, diag))).sorted_canonical()
+    return patch_planes(mesh, patches, max(1.0, diag)).sorted_canonical()
 
 
 def coplanar_patches(mesh, normals, offsets, eps, members=None):
@@ -426,11 +466,11 @@ def coplanar_patches(mesh, normals, offsets, eps, members=None):
 
 
 def patch_planes(mesh, patches, scale):
-    """One plane per triangle patch: area-weighted, through its centroid.
+    """PlaneSet of one plane per triangle patch: area-weighted, through its centroid.
 
     The direction is the normalized sum of the patch's cross products
     and the plane passes through the area-weighted centroid; both are
-    zero-snapped at ``scale`` (see snapped_plane).
+    zero-snapped at ``scale`` (see snapped_triplet).
     """
     p1, p2, p3 = mesh.triangle_corners()
     cross = np.cross(p2 - p1, p3 - p2)
@@ -442,8 +482,8 @@ def patch_planes(mesh, patches, scale):
         direction = cross[g].sum(axis=0)
         direction /= np.linalg.norm(direction)
         centroid = (centers[g] * areas[g, None]).sum(axis=0) / areas[g].sum()
-        out.append(snapped_plane(direction, float(direction @ centroid), scale=scale))
-    return out
+        out.append(snapped_triplet(direction, float(direction @ centroid), scale=scale))
+    return PlaneSet.from_triplets(out)
 
 
 def translate_planes(code, a):

@@ -183,15 +183,16 @@ def angle_between(u, v):
 SNAP_AXIS = 1e-12  # zero-snap for direction components and offsets
 
 
-def snapped_plane(direction, h, scale=1.0):
-    """Plane from an approximate normal and offset, zeroing noise.
+def snapped_triplet(direction, h, scale=1.0):
+    """(nu, phi, h) row of an approximate normal and offset, zeroing noise.
 
     Accumulated rounding leaves axis-aligned normals with stray 1e-17
     components and zero offsets at 1e-24; both survive a float-32
     round-trip because its precision is relative, which breaks
     re-encode byte stability.  Components below SNAP_AXIS (offsets
     below SNAP_AXIS * scale) are therefore forced to exactly zero
-    before the angles are taken.
+    before the angles are taken.  The row is not range-checked here:
+    ``PlaneSet`` checks it when it stores it.
     """
     d = np.asarray(direction, dtype=float).copy()
     d[np.abs(d) < SNAP_AXIS] = 0.0
@@ -199,4 +200,10 @@ def snapped_plane(direction, h, scale=1.0):
     h = float(h)
     if abs(h) < SNAP_AXIS * scale:
         h = 0.0
-    return OrientedPlane(spherical_from_unit_vector(d), h)
+    return spherical_angles(d) + (h,)
+
+
+def snapped_plane(direction, h, scale=1.0):
+    """Checked OrientedPlane of the row ``snapped_triplet`` gives."""
+    nu, phi, h = snapped_triplet(direction, h, scale)
+    return OrientedPlane(SphericalDirection(nu, phi), h)

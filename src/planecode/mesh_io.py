@@ -112,10 +112,10 @@ def write_obj(mesh, comment=None):
     lines = []
     if comment:
         lines.append("# %s" % comment)
-    for v in mesh.vertices:
-        lines.append("v %r %r %r" % (float(v[0]), float(v[1]), float(v[2])))
-    for t in mesh.triangles:
-        lines.append("f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1))
+    for x, y, z in mesh.vertices.tolist():
+        lines.append("v %r %r %r" % (x, y, z))
+    for a, b, c in mesh.triangles.tolist():
+        lines.append("f %d %d %d" % (a + 1, b + 1, c + 1))
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .convex import PlaneSet, decode_convex
 from .errors import GeometryError, OverSimplified, PartUndecodable
-from .geometry import angle_between, snapped_plane
+from .geometry import angle_between, snapped_triplet
 from .polygonize import PartCode, SegmentedCode, decode_part
 
 HALF_PI = np.pi / 2.0
@@ -226,6 +226,6 @@ def _merge_with_metrics(planes, areas, centroids, adjacency, params):
             continue
         direction = dir_sum[root] / np.linalg.norm(dir_sum[root])
         centroid = cen_sum[root] / area_sum[root]
-        p = snapped_plane(direction, float(direction @ centroid), scale=scale)
-        rows.append((p.direction.nu, p.direction.phi, p.h))
+        h = float(direction @ centroid)
+        rows.append(snapped_triplet(direction, h, scale=scale))
     return PlaneSet.from_triplets(rows)

@@ -13,6 +13,7 @@ from planecode import (
     write_stl_ascii,
     write_stl_binary,
 )
+from planecode.mesh import TriangleMesh
 from planecode.mesh_io import count_coplanar_patches, total_plane_count
 from planecode import shapes
 
@@ -79,6 +80,35 @@ def test_obj_write_read_is_exact():
     back = load_mesh(write_obj(m, comment="round trip"), "obj")
     assert np.array_equal(back.vertices, m.vertices)
     assert np.array_equal(back.triangles, m.triangles)
+
+
+def reference_write_obj(mesh, comment=None):
+    """The row-by-row OBJ formatter write_obj must match byte for byte."""
+    lines = []
+    if comment:
+        lines.append("# %s" % comment)
+    for v in mesh.vertices:
+        lines.append("v %r %r %r" % (float(v[0]), float(v[1]), float(v[2])))
+    for t in mesh.triangles:
+        lines.append("f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1))
+    return "\n".join(lines) + "\n"
+
+
+def test_obj_text_matches_the_row_by_row_formatter():
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(5)
+    sphere = rng.normal(size=(64, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    hull = TriangleMesh(sphere, ConvexHull(sphere).simplices)
+    assert len(hull.triangles) == 124
+    signed_zeros = TriangleMesh(
+        [[-0.0, 0.0, 1e-300], [1.0, -0.0, -2.5], [0.1, 1 / 3, -0.0]], [[0, 1, 2]]
+    )
+    for mesh in (hull, signed_zeros, shapes.cube()):
+        for comment in (None, "", "made by planecode"):
+            assert write_obj(mesh, comment) == reference_write_obj(mesh, comment)
+    assert "v -0.0 0.0 1e-300\n" in write_obj(signed_zeros)
 
 
 def test_unknown_format_rejected():
