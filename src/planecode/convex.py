@@ -12,11 +12,10 @@ one vertex together with the planes that meet there: the vertex is
 solved from those planes' triples, and the same lists give every face
 ring its vertices, so incidence never depends on a distance tolerance.
 
-This module also holds the pieces the segmented codec shares: the grid
-weld (``weld``), the coplanar-patch flood (``coplanar_patches``) and
-the area-weighted plane of a patch (``patch_planes``).  The part
-decode that negates pseudo-concave faces lives in
-``polygonize.decode_part``.
+This module also holds the pieces the segmented codec shares: the
+coplanar-patch flood (``coplanar_patches``) and the area-weighted plane
+of a patch (``patch_planes``).  The part decode that negates
+pseudo-concave faces lives in ``polygonize.decode_part``.
 """
 
 import functools
@@ -36,7 +35,7 @@ from .geometry import (
     spherical_angles,
     triangle_planes,
 )
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, fan
 
 EPS_CONVEX_REL = 1e-7     # convexity slack per unit of bounding-box diagonal
 COND_LIMIT = 1e8          # triple solves beyond this condition number are skipped
@@ -44,14 +43,6 @@ DET_CLEAR = 2.0 / COND_LIMIT * (1.0 + 1e-6)  # |det| above this proves cond < CO
 MAX_VERTEX_TRIPLES = 220  # triples averaged per vertex, C(12, 3): bounds the cost
 FEAS_REL = 1e-9           # least inscribed-ball radius per unit of max(1, |h|)
 COPLANAR_ANGLE = 1e-6     # radians; triangles closer than this may share a face
-
-_NEIGHBOR_CELLS = [
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-]
-
 
 class PlaneSet:
     """Ordered oriented planes encoding one convex region.
@@ -156,39 +147,7 @@ class ConvexPolyhedron:
 
     def to_mesh(self):
         """Fan triangulation of the rings, a ring shared by duplicate planes once."""
-        tris = []
-        for ring in dict.fromkeys(map(tuple, self.faces)):
-            for k in range(1, len(ring) - 1):
-                tris.append((ring[0], ring[k], ring[k + 1]))
-        return TriangleMesh(self.vertices, np.asarray(tris, dtype=np.int64))
-
-
-def weld(points, cell, radius):
-    """Cluster points lying within ``radius`` of a cluster's first point.
-
-    Grid buckets of size ``cell`` with a 27-cell neighborhood check, in
-    point order.  Returns each point's cluster label (clusters numbered
-    in first-appearance order) and the index of each cluster's first
-    point.
-    """
-    buckets = {}
-    firsts = []
-    labels = np.empty(len(points), dtype=np.int64)
-    cells = np.floor(points / cell).tolist()
-    for k, p in enumerate(points):
-        x, y, z = (int(v) for v in cells[k])
-        hit = -1
-        for dx, dy, dz in _NEIGHBOR_CELLS:
-            j = buckets.get((x + dx, y + dy, z + dz), -1)
-            if j >= 0 and np.linalg.norm(p - points[firsts[j]]) <= radius:
-                hit = j
-                break
-        if hit < 0:
-            hit = len(firsts)
-            buckets[(x, y, z)] = hit
-            firsts.append(k)
-        labels[k] = hit
-    return labels, np.asarray(firsts, dtype=np.int64)
+        return TriangleMesh(self.vertices, fan(self.faces))
 
 
 def decode_convex(code, eps=None):

@@ -1,6 +1,7 @@
-"""Indexed triangle surfaces and their edge topology."""
+"""Indexed triangle surfaces, their edge topology, the vertex weld and the ring fan."""
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 class TriangleMesh:
@@ -116,3 +117,53 @@ class TriangleMesh:
     def rotated(self, r):
         r = np.asarray(r, dtype=float)
         return TriangleMesh(self.vertices @ r.T, self.triangles)
+
+
+def weld(points, radius):
+    """Cluster points joined by chains of pairs at most ``radius`` apart.
+
+    Exact duplicates meet in one stable lexicographic sort, which like
+    ``==`` takes -0.0 and 0.0 as equal.  For ``radius`` > 0 a k-d tree
+    (Bentley, CACM 1975) lists the distinct points within Euclidean
+    distance ``radius``, joined by hooking each larger root onto the
+    smaller and compressing paths fully until no pair spans two trees
+    (Shiloach and Vishkin, J. Algorithms 1982).  Returns each point's
+    cluster label, clusters numbered in order of their first point, and
+    the index of each cluster's first point.
+    """
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    order = np.lexsort((p[:, 2], p[:, 1], p[:, 0]))
+    ps = p[order]
+    new = np.ones(len(p), dtype=bool)
+    new[1:] = (ps[1:] != ps[:-1]).any(axis=1)
+    heads = order[new]  # each distinct point's first copy leads its run
+    root = np.empty(len(p), dtype=np.int64)
+    root[order] = heads[np.cumsum(new) - 1]
+    if radius > 0:
+        pairs = cKDTree(ps[new]).query_pairs(radius, output_type="ndarray")
+        a, b = heads[pairs.T]
+        # hooking matters: min-label propagation alone takes one round
+        # per link of the longest chain
+        while True:
+            ra, rb = root[a], root[b]
+            split = ra != rb
+            if not split.any():
+                break
+            np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+            while True:
+                up = root[root]
+                if (up == root).all():
+                    break
+                root = up
+    firsts, labels = np.unique(root, return_inverse=True)
+    return labels, firsts
+
+
+def fan(rings):
+    """(k, 3) fan triangles of vertex rings; a ring listed twice is fanned once."""
+    tris = [
+        (ring[0], ring[k], ring[k + 1])
+        for ring in dict.fromkeys(map(tuple, rings))
+        for k in range(1, len(ring) - 1)
+    ]
+    return np.array(tris, dtype=np.int64).reshape(-1, 3)

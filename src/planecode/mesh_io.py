@@ -3,7 +3,9 @@
 Supports Wavefront OBJ (vertices and faces only) and STL in both ascii
 and binary flavors.  Polygonal OBJ faces are fan-triangulated.  STL
 soups are welded on exact coordinate equality, which is enough for
-files we wrote ourselves; use OBJ when vertex identity matters.
+files we wrote ourselves; use OBJ when vertex identity matters.  A NaN
+or infinite vertex coordinate is a ParseError naming its line (OBJ,
+ascii STL) or facet (binary STL); STL facet normals are ignored.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 from .convex import coplanar_patches
 from .errors import ParseError, UnsupportedFeature
 from .geometry import triangle_planes
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, weld
 from .polygonize import SegmentedCode
 
 _OBJ_UNSUPPORTED = {
@@ -22,7 +24,9 @@ _OBJ_UNSUPPORTED = {
     "con", "trim", "hole", "scrv", "sp", "end",
 }
 
-_STL_RECORD = struct.Struct("<12fH")
+_STL_FACET = np.dtype(
+    [("normal", "<f4", (3,)), ("corners", "<f4", (3, 3)), ("attr", "<u2")]
+)
 
 
 def load_mesh(data, fmt):
@@ -70,10 +74,7 @@ def _parse_obj(text):
         if tag == "v":
             if len(fields) < 4:
                 raise ParseError("vertex needs 3 coordinates", line=lineno)
-            try:
-                verts.append([float(x) for x in fields[1:4]])
-            except ValueError:
-                raise ParseError("bad vertex coordinate", line=lineno)
+            verts.append(_coordinates(fields, lineno))
         elif tag == "f":
             if len(fields) < 4:
                 raise ParseError("face needs at least 3 vertices", line=lineno)
@@ -119,26 +120,22 @@ def write_obj(mesh, comment=None):
     return "\n".join(lines) + "\n"
 
 
+def _coordinates(fields, lineno):
+    """The three finite floats after a vertex tag."""
+    try:
+        xyz = [float(x) for x in fields[1:4]]
+    except ValueError:
+        raise ParseError("bad vertex coordinate", line=lineno)
+    if not all(map(math.isfinite, xyz)):
+        raise ParseError("non-finite vertex coordinate", line=lineno)
+    return xyz
+
+
 def _weld_soup(tri_points):
-    """Vertex/index arrays from a (T, 3, 3) corner soup, exact-match weld."""
-    index = {}
-    verts = []
-    tris = []
-    for corners in tri_points:
-        tri = []
-        for p in corners:
-            key = (float(p[0]), float(p[1]), float(p[2]))
-            at = index.get(key)
-            if at is None:
-                at = len(verts)
-                index[key] = at
-                verts.append(key)
-            tri.append(at)
-        tris.append(tri)
-    return TriangleMesh(
-        np.array(verts, dtype=float).reshape(-1, 3),
-        np.array(tris, dtype=np.int64).reshape(-1, 3),
-    )
+    """Mesh of a (T, 3, 3) corner soup, welded on exact coordinate equality."""
+    corners = tri_points.reshape(-1, 3)
+    labels, firsts = weld(corners, 0.0)
+    return TriangleMesh(corners[firsts], labels.reshape(-1, 3))
 
 
 def _parse_stl_ascii(text):
@@ -156,10 +153,7 @@ def _parse_stl_ascii(text):
                 raise ParseError("vertex outside loop", line=lineno)
             if len(fields) < 4:
                 raise ParseError("vertex needs 3 coordinates", line=lineno)
-            try:
-                current.append([float(x) for x in fields[1:4]])
-            except ValueError:
-                raise ParseError("bad vertex coordinate", line=lineno)
+            current.append(_coordinates(fields, lineno))
         elif tag == "endloop":
             if current is None or len(current) != 3:
                 raise ParseError("loop does not have exactly 3 vertices", line=lineno)
@@ -187,6 +181,9 @@ def _parse_stl_binary(data):
     raw = np.frombuffer(data, dtype=np.uint8, count=50 * count, offset=84)
     floats = raw.reshape(count, 50)[:, :48].reshape(-1).view(np.float32)
     tri_points = floats.astype(float).reshape(count, 4, 3)[:, 1:, :]
+    bad = np.flatnonzero(~np.isfinite(tri_points).all(axis=(1, 2)))
+    if len(bad):
+        raise ParseError("facet %d has a non-finite vertex coordinate" % bad[0])
     return _weld_soup(tri_points)
 
 
@@ -200,19 +197,11 @@ def _facet_normals(p1, p2, p3):
 
 def write_stl_binary(mesh, header=b""):
     head = (header or b"planecode mesh")[:80].ljust(80, b"\x00")
-    parts = [head, struct.pack("<I", len(mesh.triangles))]
     p1, p2, p3 = mesh.triangle_corners()
-    normals = _facet_normals(p1, p2, p3)
-    for t in range(len(mesh.triangles)):
-        rec = _STL_RECORD.pack(
-            *normals[t].astype(np.float32),
-            *p1[t].astype(np.float32),
-            *p2[t].astype(np.float32),
-            *p3[t].astype(np.float32),
-            0,
-        )
-        parts.append(rec)
-    return b"".join(parts)
+    facets = np.zeros(len(mesh.triangles), dtype=_STL_FACET)
+    facets["normal"] = _facet_normals(p1, p2, p3)
+    facets["corners"] = np.stack([p1, p2, p3], axis=1)
+    return head + struct.pack("<I", len(facets)) + facets.tobytes()
 
 
 def write_stl_ascii(mesh, name="planecode"):

@@ -12,7 +12,7 @@ they are used as stored for both part kinds.
 
 Face polygons come from the coplanar-patch flood and patch planes in
 ``convex`` run on one part's triangles; decoded part surfaces are
-joined with the same grid weld the convex decoder uses.
+fanned with ``mesh.fan`` and joined by ``mesh.weld``.
 """
 
 import math
@@ -25,7 +25,6 @@ from .convex import (
     coplanar_patches,
     decode_convex,
     patch_planes,
-    weld,
 )
 from .errors import (
     BoundaryNotCuttable,
@@ -35,13 +34,13 @@ from .errors import (
     PartUndecodable,
     WeldMismatch,
 )
-from .geometry import TWO_PI, snapped_plane, triangle_planes
-from .mesh import TriangleMesh
+from .geometry import TWO_PI, snapped_triplet, triangle_planes
+from .mesh import TriangleMesh, fan, weld
 from .segmentation import PartKind, segment_mesh
 
 EPS_FIT_REL = 1e-9    # planarity: smallest singular value per unit of largest
 EPS_LINE_REL = 1e-9   # collinearity of consecutive boundary edges
-WELD_REL = 1e-6       # vertex weld cell per unit of decoded bbox diagonal
+WELD_REL = 1e-6       # vertex weld radius per unit of decoded bbox diagonal
 
 
 class PolygonFace:
@@ -189,7 +188,7 @@ def boundary_planes_for_part(mesh, part, eps=None):
             )
         else:
             planes.extend(_cut_warped_loop(corners, part_verts, eps, diag))
-    return PlaneSet(planes)
+    return PlaneSet.from_triplets(planes)
 
 
 def _fuse_collinear(points):
@@ -216,9 +215,9 @@ def _fit_svd(points):
 def _oriented_cut(normal, h, part_verts, eps, scale=1.0):
     d = part_verts @ normal - h
     if (d <= eps).all():
-        return snapped_plane(normal, h, scale=scale)
+        return snapped_triplet(normal, h, scale=scale)
     if (d >= -eps).all():
-        return snapped_plane(-normal, -h, scale=scale)
+        return snapped_triplet(-normal, -h, scale=scale)
     raise BoundaryNotCuttable("rim plane does not separate the part")
 
 
@@ -275,7 +274,7 @@ def _cut_warped_loop(corners, part_verts, eps, diag):
 
 
 def _pencil_plane(p0, p1, part_verts, diag):
-    """Separating plane through the segment p0-p1.
+    """Snapped (nu, phi, h) row of a separating plane through the segment p0-p1.
 
     Any plane containing the segment's line has normal
     cos(t) u + sin(t) v in the basis (u, v) orthogonal to the line.
@@ -301,7 +300,7 @@ def _pencil_plane(p0, p1, part_verts, diag):
     start, width = min(arcs, key=lambda g: (-g[1], g[0]))
     theta = (start + width / 2.0) % TWO_PI
     normal = math.cos(theta) * u + math.sin(theta) * v
-    return snapped_plane(normal, float(normal @ p0), scale=max(1.0, diag))
+    return snapped_triplet(normal, float(normal @ p0), scale=max(1.0, diag))
 
 
 def _free_arcs(centers):
@@ -384,38 +383,34 @@ def decode_segmented(code, eps=None):
     """Rebuild the welded surface of a segmented code.
 
     Convex parts decode directly; concave parts decode with negated
-    face planes and flipped windings.  Faces contributed by cutting
-    planes are dropped, so open parts stay open, and a ring shared by
-    exact duplicate face planes is emitted once, as in
-    ``ConvexPolyhedron.to_mesh``.  Part surfaces are then welded on
-    coincident vertices.
+    face planes and fan their rings reversed.  Faces contributed by
+    cutting planes are dropped, so open parts stay open, and a ring
+    shared by exact duplicate face planes is fanned once (``fan``).
+    Part surfaces are then welded on vertices within WELD_REL times
+    their bounding-box diagonal of one another (``weld``).
     """
     if not code.parts:
         raise EmptyRegion("segmented code has no parts")
-    soup = []
+    soups = []
     for i, part in enumerate(code.parts):
         poly = decode_part(part, i, eps=eps)
-        concave = part.kind is PartKind.PSEUDO_CONCAVE
         n_face = len(part.face_planes)
-        rings = dict.fromkeys(
-            tuple(ring)
+        rings = [
+            ring
             for ring, plane_idx in zip(poly.faces, poly.face_planes)
             if plane_idx < n_face
-        )
-        for ring in rings:
-            pts = poly.vertices[np.asarray(ring)]
-            if concave:
-                pts = pts[::-1]
-            for k in range(1, len(pts) - 1):
-                soup.append((pts[0], pts[k], pts[k + 1]))
-    if not soup:
+        ]
+        if part.kind is PartKind.PSEUDO_CONCAVE:
+            rings = [ring[::-1] for ring in rings]
+        soups.append(poly.vertices[fan(rings)])
+    flat = np.concatenate(soups).reshape(-1, 3)
+    if not len(flat):
         raise EmptyRegion("no faces survived decoding")
-    flat = np.asarray(soup, dtype=float).reshape(-1, 3)
     span = flat.max(axis=0) - flat.min(axis=0)
-    cell = WELD_REL * float(np.linalg.norm(span))
-    if cell <= 0.0:
-        cell = 1e-12
-    labels, firsts = weld(flat, cell, cell)
+    radius = WELD_REL * float(np.linalg.norm(span))
+    if radius <= 0.0:
+        radius = 1e-12
+    labels, firsts = weld(flat, radius)
     tris = labels.reshape(-1, 3)
     solid = tris[
         (tris[:, 0] != tris[:, 1])

@@ -23,13 +23,48 @@ from planecode import (
     plane_from_normal_offset,
 )
 from planecode import shapes
-from planecode.convex import ConvexPolyhedron, weld
+from planecode.convex import ConvexPolyhedron
 
 from conftest import seeded_hulls
 
 COND_LIMIT = 1e8
 SNAP_REL = 1e-7
 FEAS_REL = 1e-9
+
+_NEIGHBOR_CELLS = [
+    (dx, dy, dz)
+    for dx in (-1, 0, 1)
+    for dy in (-1, 0, 1)
+    for dz in (-1, 0, 1)
+]
+
+
+def weld(points, cell, radius):
+    """Cluster points lying within ``radius`` of a cluster's first point.
+
+    Grid buckets of size ``cell`` with a 27-cell neighborhood check, in
+    point order.  Returns each point's cluster label (clusters numbered
+    in first-appearance order) and the index of each cluster's first
+    point.
+    """
+    buckets = {}
+    firsts = []
+    labels = np.empty(len(points), dtype=np.int64)
+    cells = np.floor(points / cell).tolist()
+    for k, p in enumerate(points):
+        x, y, z = (int(v) for v in cells[k])
+        hit = -1
+        for dx, dy, dz in _NEIGHBOR_CELLS:
+            j = buckets.get((x + dx, y + dy, z + dz), -1)
+            if j >= 0 and np.linalg.norm(p - points[firsts[j]]) <= radius:
+                hit = j
+                break
+        if hit < 0:
+            hit = len(firsts)
+            buckets[(x, y, z)] = hit
+            firsts.append(k)
+        labels[k] = hit
+    return labels, np.asarray(firsts, dtype=np.int64)
 
 
 def brute_force_decode(code):

@@ -1,5 +1,5 @@
 """Array paths against their scalar references: PlaneSet views, rigid
-motions, per-triangle planes and the grid weld."""
+motions, per-triangle planes and the vertex weld."""
 
 import math
 
@@ -14,8 +14,8 @@ from planecode import (
     rotate_planes,
     translate_planes,
 )
-from planecode.convex import weld
 from planecode.geometry import SNAP_AXIS, TWO_PI, triangle_planes
+from planecode.mesh import weld
 
 from conftest import quaternion_rotation, seeded_hulls
 
@@ -100,6 +100,6 @@ def test_triangle_planes_match_the_per_triangle_loop():
 def test_weld_clusters_near_duplicates_in_first_appearance_order():
     base = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     points = np.concatenate([base, base[::-1] + 1e-9, base + 1.0])
-    labels, firsts = weld(points, 1e-6, 1e-6)
+    labels, firsts = weld(points, 1e-6)
     assert labels.tolist() == [0, 1, 2, 2, 1, 0, 3, 4, 5]
     assert firsts.tolist() == [0, 1, 2, 6, 7, 8]
