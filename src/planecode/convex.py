@@ -12,10 +12,10 @@ one vertex together with the planes that meet there: the vertex is
 solved from those planes' triples, and the same lists give every face
 ring its vertices, so incidence never depends on a distance tolerance.
 
-This module also holds the pieces the segmented codec shares: the
-coplanar-patch flood (``coplanar_patches``) and the area-weighted plane
-of a patch (``patch_planes``).  The part decode that negates
-pseudo-concave faces lives in ``polygonize.decode_part``.
+This module also holds the pieces the segmented codec shares: coplanar
+patches as components of coplanar neighbours (``coplanar_patches``), the
+area-weighted plane of a patch (``patch_planes``).  The part decode that
+negates pseudo-concave faces lives in ``polygonize.decode_part``.
 """
 
 import functools
@@ -35,7 +35,7 @@ from .geometry import (
     spherical_angles,
     triangle_planes,
 )
-from .mesh import TriangleMesh, fan
+from .mesh import TriangleMesh, components, fan
 
 EPS_CONVEX_REL = 1e-7     # convexity slack per unit of bounding-box diagonal
 COND_LIMIT = 1e8          # triple solves beyond this condition number are skipped
@@ -395,33 +395,23 @@ def coplanar_patches(mesh, normals, offsets, eps, members=None):
 
     Two edge neighbors are coplanar when their normals differ by less
     than COPLANAR_ANGLE and their offsets by at most ``eps``.  Only the
-    triangles in ``members`` (default: all) take part.  Each patch is a
-    sorted list of triangle indices; patches come in order of their
-    smallest triangle.
+    triangles in ``members`` (default: all) take part, and all their
+    neighbour pairs are tested in one batch, each dot product rounding as
+    the scalar ``normals[t] @ normals[nb]`` does.  Patches are the
+    ``components`` of the coplanar pairs, sorted, smallest triangle first.
     """
-    members = sorted(range(len(mesh.triangles)) if members is None else members)
-    unseen = set(members)
-    cos_tol = math.cos(COPLANAR_ANGLE)
-    patches = []
-    for seed in members:
-        if seed not in unseen:
-            continue
-        unseen.discard(seed)
-        patch = [seed]
-        stack = [seed]
-        while stack:
-            t = stack.pop()
-            for nb in mesh.neighbors[t]:
-                if (
-                    nb in unseen
-                    and normals[t] @ normals[nb] >= cos_tol
-                    and abs(offsets[t] - offsets[nb]) <= eps
-                ):
-                    unseen.discard(nb)
-                    patch.append(nb)
-                    stack.append(nb)
-        patches.append(sorted(patch))
-    return patches
+    nt = len(mesh.triangles)
+    members = np.arange(nt) if members is None else np.unique(members).astype(int)
+    inside = np.bincount(members, minlength=nt) > 0
+    p, q = mesh.edges.pairs()
+    p, q = np.compress(inside[p] & inside[q], (p, q), axis=1)
+    dot = np.matmul(normals[p][:, None, :], normals[q][:, :, None])[:, 0, 0]
+    flat = (dot >= math.cos(COPLANAR_ANGLE)) & (np.abs(offsets[p] - offsets[q]) <= eps)
+    root = components(nt, p[flat], q[flat])[members]
+    patches = {}
+    for t, r in zip(members.tolist(), root.tolist()):
+        patches.setdefault(r, []).append(t)
+    return list(patches.values())
 
 
 def patch_planes(mesh, patches, scale):

@@ -201,9 +201,3 @@ def snapped_triplet(direction, h, scale=1.0):
     if abs(h) < SNAP_AXIS * scale:
         h = 0.0
     return spherical_angles(d) + (h,)
-
-
-def snapped_plane(direction, h, scale=1.0):
-    """Checked OrientedPlane of the row ``snapped_triplet`` gives."""
-    nu, phi, h = snapped_triplet(direction, h, scale)
-    return OrientedPlane(SphericalDirection(nu, phi), h)

@@ -1,4 +1,7 @@
-"""Indexed triangle surfaces, their edge topology, the vertex weld and the ring fan."""
+"""Triangle surfaces, the one edge table and component routine, the weld and the fan."""
+
+import functools
+import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,62 +23,42 @@ class TriangleMesh:
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
             raise ValueError("triangle index out of range")
-        self._edges = None
-        self._neighbors = None
 
     def __repr__(self):
         return "TriangleMesh(V=%d, T=%d)" % (len(self.vertices), len(self.triangles))
 
     # -- edge topology -------------------------------------------------
 
-    def _edge_map(self):
-        """Undirected edge -> list of (triangle index, traversed forward)."""
-        if self._edges is None:
-            edges = {}
-            for t, (i, j, k) in enumerate(self.triangles):
-                for a, b in ((i, j), (j, k), (k, i)):
-                    key = (a, b) if a < b else (b, a)
-                    edges.setdefault(key, []).append((t, a < b))
-            self._edges = edges
-        return self._edges
+    @functools.cached_property
+    def edges(self):
+        """The triangles' EdgeTable."""
+        return EdgeTable(self.triangles)
 
-    @property
+    @functools.cached_property
     def neighbors(self):
-        """Per-triangle list of triangles sharing an edge with it."""
-        if self._neighbors is None:
-            nb = [[] for _ in range(len(self.triangles))]
-            for tris in self._edge_map().values():
-                if len(tris) == 2:
-                    (ta, _), (tb, _) = tris
-                    nb[ta].append(tb)
-                    nb[tb].append(ta)
-            self._neighbors = nb
-        return self._neighbors
+        """Per triangle, its neighbours over edges walked exactly twice, unordered."""
+        return adjacency(len(self.triangles), *self.edges.pairs())
 
     @property
     def is_edge_manifold(self):
-        return all(len(v) <= 2 for v in self._edge_map().values())
+        return bool((self.edges.size <= 2).all())
 
     @property
     def is_closed(self):
-        return all(len(v) == 2 for v in self._edge_map().values())
+        return bool((self.edges.size == 2).all())
 
     @property
     def is_consistently_oriented(self):
         """Every shared edge is traversed once in each direction."""
-        for tris in self._edge_map().values():
-            if len(tris) == 2 and tris[0][1] == tris[1][1]:
-                return False
-        return True
+        e = self.edges
+        s = e.start[e.size == 2]
+        return bool((e.a[s] != e.a[s + 1]).all())
 
     def boundary_edges(self):
         """Directed edges owned by exactly one triangle, as the triangle walks them."""
-        out = []
-        for (a, b), tris in self._edge_map().items():
-            if len(tris) == 1:
-                t, forward = tris[0]
-                out.append((a, b) if forward else (b, a))
-        return out
+        e = self.edges
+        s = e.start[e.size == 1]
+        return list(zip(e.a[s].tolist(), e.b[s].tolist()))
 
     # -- measures ------------------------------------------------------
 
@@ -119,43 +102,100 @@ class TriangleMesh:
         return TriangleMesh(self.vertices @ r.T, self.triangles)
 
 
+class EdgeTable:
+    """Directed edges (a, b) of vertex rings and their owning rings, one run per edge.
+
+    ``rings`` is a (count, k) array, such as triangles, or a list of non-empty
+    sequences, such as decoded faces.  One stable ``np.lexsort`` on the columns
+    (group, min, max), never packed into one integer that could overflow, makes
+    each undirected edge of a group one run, given by ``start`` and ``size``.
+    """
+
+    def __init__(self, rings, group=None):
+        if isinstance(rings, np.ndarray):
+            sizes = np.full(len(rings), rings.shape[1])
+            a = rings.ravel()
+        else:
+            sizes = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
+            a = np.fromiter(itertools.chain.from_iterable(rings), dtype=np.int64)
+        ends = np.cumsum(sizes)
+        nxt = np.arange(1, len(a) + 1)
+        nxt[ends - 1] = ends - sizes  # each ring's last edge closes it
+        b = a[nxt]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        keys = [np.maximum(a, b), np.minimum(a, b)]
+        if group is not None:
+            keys.append(np.asarray(group)[owner])
+        order = np.lexsort(keys)
+        self.a, self.b, self.owner = a[order], b[order], owner[order]
+        ks = np.array(keys)[:, order]
+        change = (ks[:, 1:] != ks[:, :-1]).any(axis=0)
+        self.start = np.flatnonzero(np.concatenate(([len(a) > 0], change)))
+        self.size = np.concatenate((self.start[1:], [len(a)])) - self.start
+
+    def pairs(self, every=False):
+        """Owners (i, j) of each 2-run, or with ``every`` of any two edges in a run."""
+        if not every:
+            s = self.start[self.size == 2]
+            return self.owner[s], self.owner[s + 1]
+        n = np.repeat(self.start + self.size, self.size) - np.arange(len(self.a)) - 1
+        i = np.repeat(np.arange(len(self.a)), n)  # once per later edge of the run
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
+        return self.owner[i], self.owner[j]
+
+    def border(self):
+        """(a, b, owner) of each edge whose reverse no ring of its group walks, once."""
+        forward = np.add.reduceat(self.a < self.b, self.start)
+        one_way = (forward == 0) | (forward == self.size)
+        s = self.start[one_way & (self.a[self.start] != self.b[self.start])]
+        return self.a[s], self.b[s], self.owner[s]
+
+
+def adjacency(n, i, j):
+    """Per node of range(n), the nodes paired with it in (i, j), both ways."""
+    x = np.concatenate([i, j])
+    y = np.concatenate([j, i])[np.argsort(x, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(x, minlength=n)).tolist()
+    return [y[e0:e1] for e0, e1 in zip([0] + ends[:-1], ends)]
+
+
+def components(n, a, b):
+    """Label each of n nodes with the least node in its component under edges (a, b).
+
+    Each round hooks the larger root of every split edge onto the smaller and
+    compresses paths fully (Shiloach and Vishkin, J. Algorithms 1982).
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        while (root[root] != root).any():
+            root = root[root]
+
+
 def weld(points, radius):
     """Cluster points joined by chains of pairs at most ``radius`` apart.
 
     Exact duplicates meet in one stable lexicographic sort, which like
     ``==`` takes -0.0 and 0.0 as equal.  For ``radius`` > 0 a k-d tree
     (Bentley, CACM 1975) lists the distinct points within Euclidean
-    distance ``radius``, joined by hooking each larger root onto the
-    smaller and compressing paths fully until no pair spans two trees
-    (Shiloach and Vishkin, J. Algorithms 1982).  Returns each point's
-    cluster label, clusters numbered in order of their first point, and
-    the index of each cluster's first point.
+    distance ``radius``, and ``components`` joins them.  Returns each
+    point's cluster label, clusters numbered in order of their first
+    point, and the index of each cluster's first point.
     """
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     order = np.lexsort((p[:, 2], p[:, 1], p[:, 0]))
     ps = p[order]
-    new = np.ones(len(p), dtype=bool)
-    new[1:] = (ps[1:] != ps[:-1]).any(axis=1)
-    heads = order[new]  # each distinct point's first copy leads its run
-    root = np.empty(len(p), dtype=np.int64)
-    root[order] = heads[np.cumsum(new) - 1]
+    same = (ps[1:] == ps[:-1]).all(axis=1)
+    a, b = order[:-1][same], order[1:][same]  # copies meet in the sort
     if radius > 0:
-        pairs = cKDTree(ps[new]).query_pairs(radius, output_type="ndarray")
-        a, b = heads[pairs.T]
-        # hooking matters: min-label propagation alone takes one round
-        # per link of the longest chain
-        while True:
-            ra, rb = root[a], root[b]
-            split = ra != rb
-            if not split.any():
-                break
-            np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
-            while True:
-                up = root[root]
-                if (up == root).all():
-                    break
-                root = up
-    firsts, labels = np.unique(root, return_inverse=True)
+        heads = np.delete(order, np.flatnonzero(same) + 1)
+        pairs = cKDTree(p[heads]).query_pairs(radius, output_type="ndarray")
+        a, b = np.append(a, heads[pairs[:, 0]]), np.append(b, heads[pairs[:, 1]])
+    firsts, labels = np.unique(components(len(p), a, b), return_inverse=True)
     return labels, firsts
 
 

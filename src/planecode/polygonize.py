@@ -10,9 +10,9 @@ simplification alike.  The cutting planes are stored already oriented
 so the part's own vertices sit in their closed negative half-spaces;
 they are used as stored for both part kinds.
 
-Face polygons come from the coplanar-patch flood and patch planes in
-``convex`` run on one part's triangles; decoded part surfaces are
-fanned with ``mesh.fan`` and joined by ``mesh.weld``.
+Face polygons are the coplanar patches of ``convex`` on one part's
+triangles, their rings chained from one grouped ``mesh.EdgeTable``;
+decoded part surfaces are fanned by ``mesh.fan``, joined by ``mesh.weld``.
 """
 
 import math
@@ -35,7 +35,7 @@ from .errors import (
     WeldMismatch,
 )
 from .geometry import TWO_PI, snapped_triplet, triangle_planes
-from .mesh import TriangleMesh, fan, weld
+from .mesh import EdgeTable, TriangleMesh, fan, weld
 from .segmentation import PartKind, segment_mesh
 
 EPS_FIT_REL = 1e-9    # planarity: smallest singular value per unit of largest
@@ -105,22 +105,22 @@ def polygonize_part(mesh, part, eps=None):
     patches = coplanar_patches(mesh, normals, offsets, eps, members=part.triangles)
     planes = patch_planes(mesh, patches, max(1.0, diag))
     return [
-        PolygonFace(plane, _patch_ring(mesh, patch), patch)
-        for plane, patch in zip(planes, patches)
+        PolygonFace(plane, _patch_ring(loops), patch)
+        for plane, patch, loops in zip(planes, patches, _border_loops(mesh, patches))
     ]
 
 
-def _border_edges(mesh, triangles):
-    """Directed edges of ``triangles`` whose reverse none of them walks."""
-    walked = set()
-    for t in triangles:
-        a, b, c = (int(v) for v in mesh.triangles[t])
-        walked.update([(a, b), (b, c), (c, a)])
-    return [e for e in walked if (e[1], e[0]) not in walked]
+def _border_loops(mesh, groups):
+    """Per group in turn, the loops its ``EdgeTable.border`` edges chain into."""
+    group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    tris = mesh.triangles[np.concatenate(groups).astype(int)]
+    a, b, owner = EdgeTable(tris, group).border()
+    cuts = np.searchsorted(group[owner], np.arange(1, len(groups)))
+    for x, y in zip(np.split(a, cuts), np.split(b, cuts)):
+        yield _chain_loops(zip(x.tolist(), y.tolist()))
 
 
-def _patch_ring(mesh, patch):
-    loops = _chain_loops(_border_edges(mesh, patch))
+def _patch_ring(loops):
     if len(loops) != 1:
         raise NonSimpleBoundary(
             "coplanar patch has %d boundary loops, expected 1" % len(loops)
@@ -138,20 +138,15 @@ def _chain_loops(edges):
             raise NonSimpleBoundary("boundary pinches at vertex %d" % a)
         succ[a] = b
     loops = []
-    visited = set()
-    for a, _ in sorted(edges):
-        if a in visited:
-            continue
-        loop = [a]
-        visited.add(a)
-        cur = succ[a]
-        while cur != a:
-            if cur in visited or cur not in succ:
-                raise NonSimpleBoundary("boundary walk does not close")
-            loop.append(cur)
-            visited.add(cur)
-            cur = succ[cur]
-        loops.append(loop)
+    for a in sorted(succ):
+        if a in succ:  # not walked yet
+            loop, cur = [a], succ.pop(a)
+            while cur != a:
+                if cur not in succ:
+                    raise NonSimpleBoundary("boundary walk does not close")
+                loop.append(cur)
+                cur = succ.pop(cur)
+            loops.append(loop)
     return loops
 
 
@@ -168,12 +163,9 @@ def boundary_planes_for_part(mesh, part, eps=None):
     diag = mesh.bbox_diagonal()
     if eps is None:
         eps = EPS_CONVEX_REL * diag
-    border = _border_edges(mesh, part.triangles)
-    if not border:
-        return PlaneSet([])
     part_verts = mesh.vertices[np.unique(mesh.triangles[part.triangles])]
     planes = []
-    for loop in _chain_loops(border):
+    for loop in next(_border_loops(mesh, [part.triangles])):
         corners = _fuse_collinear(mesh.vertices[np.asarray(loop)])
         normal, centroid, sv = _fit_svd(corners)
         if sv[2] <= EPS_FIT_REL * max(sv[0], 1.0):

@@ -17,12 +17,12 @@ running maxima with one O(T) numpy update.  No pairwise table is kept.
 
 import enum
 import heapq
-import itertools
 
 import numpy as np
 
 from .errors import InconsistentOrientation, NonManifold
 from .geometry import plane_from_triangle, triangle_planes
+from .mesh import adjacency
 
 EPS_ORIENT_REL = 1e-7  # six-vertex test slack per unit of bbox diagonal
 
@@ -116,7 +116,7 @@ def segment_mesh(mesh, eps=None):
     flat = corners.reshape(-1, 3)
     normals, offs = triangle_planes(corners[:, 0], corners[:, 1], corners[:, 2])
     neighbors = mesh.neighbors
-    seed_pairs = _strict_neighbors(corners, normals, offs, neighbors, eps)
+    seed_pairs = _strict_neighbors(corners, normals, offs, *mesh.edges.pairs(), eps)
 
     assigned = np.zeros(nt, dtype=bool)
     parts = []
@@ -162,28 +162,21 @@ def segment_mesh(mesh, eps=None):
     return parts
 
 
-def _strict_neighbors(corners, normals, offs, neighbors, eps):
+def _strict_neighbors(corners, normals, offs, i, j, eps):
     """Per kind, each triangle's neighbors that form a pair strictly of it.
 
-    A neighbor pair is mutually nonpositive when each triangle lies in
-    the closed negative half-space of the other's plane, mutually
-    nonnegative in the mirror case.  Coplanar pairs are both, so they
-    count for neither kind.  All pairs are tested in one batch.
+    A neighbor pair (i, j) is mutually nonpositive when each triangle
+    lies in the closed negative half-space of the other's plane,
+    mutually nonnegative in the mirror case.  Coplanar pairs are both,
+    so they count for neither kind.  All pairs are tested in one batch.
     """
-    i = np.repeat(np.arange(len(neighbors)), [len(nb) for nb in neighbors])
-    j = np.fromiter(itertools.chain.from_iterable(neighbors), dtype=np.int64, count=len(i))
     # corners of one triangle against the other's plane, each way
     d_ij = np.matmul(corners[j], normals[i][:, :, None])[:, :, 0] - offs[i][:, None]
     d_ji = np.matmul(corners[i], normals[j][:, :, None])[:, :, 0] - offs[j][:, None]
     below = (d_ij <= eps).all(axis=1) & (d_ji <= eps).all(axis=1)
     above = (d_ij >= -eps).all(axis=1) & (d_ji >= -eps).all(axis=1)
-    out = {}
-    for kind, flag in (
-        (PartKind.PSEUDO_CONVEX, below & ~above),
-        (PartKind.PSEUDO_CONCAVE, above & ~below),
-    ):
-        lists = [[] for _ in neighbors]
-        for a, b in zip(i[flag].tolist(), j[flag].tolist()):
-            lists[a].append(b)
-        out[kind] = lists
-    return out
+    convex, concave = below & ~above, above & ~below
+    return {
+        PartKind.PSEUDO_CONVEX: adjacency(len(corners), i[convex], j[convex]),
+        PartKind.PSEUDO_CONCAVE: adjacency(len(corners), i[concave], j[concave]),
+    }

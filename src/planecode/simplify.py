@@ -19,6 +19,7 @@ import numpy as np
 from .convex import PlaneSet, decode_convex
 from .errors import GeometryError, OverSimplified, PartUndecodable
 from .geometry import angle_between, snapped_triplet
+from .mesh import EdgeTable
 from .polygonize import PartCode, SegmentedCode, decode_part
 
 HALF_PI = np.pi / 2.0
@@ -72,20 +73,9 @@ def _face_measurements(poly, n_planes):
 
 
 def _face_adjacency(poly):
-    """Sorted plane-index pairs whose decoded faces share an edge."""
-    owners = {}
-    for ring, idx in zip(poly.faces, poly.face_planes):
-        for k in range(len(ring)):
-            a, b = ring[k], ring[(k + 1) % len(ring)]
-            edge = (a, b) if a < b else (b, a)
-            owners.setdefault(edge, []).append(idx)
-    pairs = set()
-    for members in owners.values():
-        for x in members:
-            for y in members:
-                if x < y:
-                    pairs.add((x, y))
-    return sorted(pairs)
+    """Sorted plane-index pairs whose faces share an edge, duplicate planes included."""
+    planes = np.take(poly.face_planes, EdgeTable(poly.faces).pairs(every=True))
+    return sorted({(min(p), max(p)) for p in zip(*planes.tolist()) if p[0] != p[1]})
 
 
 def _drop_small(code, areas, params, eps):

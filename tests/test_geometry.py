@@ -16,7 +16,7 @@ from planecode import (
 )
 from planecode.geometry import (
     TWO_PI,
-    snapped_plane,
+    snapped_triplet,
     spherical_from_unit_vector,
     unit_vector_from_spherical,
 )
@@ -164,19 +164,20 @@ def test_angle_between_is_stable_at_the_ends():
     assert angle_between(3 * u, 5 * w) == pytest.approx(HALF)
 
 
-def test_snapped_plane_zeroes_rounding_dust():
+def test_snapped_triplet_zeroes_rounding_dust():
     noisy = np.array([1.0, 3e-17, -8e-18])
-    p = snapped_plane(noisy, -4.9e-24, scale=1.0)
-    assert p.direction.nu == HALF
-    assert p.direction.phi == 0.0
-    assert p.h == 0.0
+    nu, phi, h = snapped_triplet(noisy, -4.9e-24, scale=1.0)
+    assert nu == HALF
+    assert phi == 0.0
+    assert h == 0.0
     # a real component is far above the snap threshold and survives
-    q = snapped_plane(np.array([1.0, 1e-6, 0.0]), 2.0)
-    assert q.normal[1] == pytest.approx(1e-6, rel=1e-9)
-    assert q.h == 2.0
+    nu, phi, h = snapped_triplet(np.array([1.0, 1e-6, 0.0]), 2.0)
+    normal = unit_vector_from_spherical(SphericalDirection(nu, phi))
+    assert normal[1] == pytest.approx(1e-6, rel=1e-9)
+    assert h == 2.0
 
 
-def test_snapped_plane_offset_threshold_scales():
+def test_snapped_triplet_offset_threshold_scales():
     # at scale 1e6 an offset of 1e-8 counts as dust, at scale 1 it does not
-    assert snapped_plane(np.array([0, 0, 1.0]), 1e-8, scale=1e6).h == 0.0
-    assert snapped_plane(np.array([0, 0, 1.0]), 1e-8, scale=1.0).h == 1e-8
+    assert snapped_triplet(np.array([0, 0, 1.0]), 1e-8, scale=1e6)[2] == 0.0
+    assert snapped_triplet(np.array([0, 0, 1.0]), 1e-8, scale=1.0)[2] == 1e-8

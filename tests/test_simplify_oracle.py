@@ -34,10 +34,16 @@ from planecode import (
 )
 from planecode.convex import ConvexPolyhedron
 from planecode.errors import GeometryError, OverSimplified, PartUndecodable
-from planecode.geometry import snapped_plane
+from planecode.geometry import OrientedPlane, SphericalDirection, snapped_triplet
 from planecode.polygonize import PartCode, SegmentedCode, decode_part
 
 from conftest import quaternion_rotation, seeded_hulls
+
+
+def snapped_plane(direction, h, scale=1.0):
+    """Checked OrientedPlane of the row ``snapped_triplet`` gives."""
+    nu, phi, h = snapped_triplet(direction, h, scale)
+    return OrientedPlane(SphericalDirection(nu, phi), h)
 
 
 def angle_between(u, v):
