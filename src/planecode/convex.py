@@ -33,7 +33,6 @@ from .geometry import (
     check_triplets,
     snapped_triplet,
     spherical_angles,
-    triangle_planes,
 )
 from .mesh import TriangleMesh, components, fan
 
@@ -43,6 +42,7 @@ DET_CLEAR = 2.0 / COND_LIMIT * (1.0 + 1e-6)  # |det| above this proves cond < CO
 MAX_VERTEX_TRIPLES = 220  # triples averaged per vertex, C(12, 3): bounds the cost
 FEAS_REL = 1e-9           # least inscribed-ball radius per unit of max(1, |h|)
 COPLANAR_ANGLE = 1e-6     # radians; triangles closer than this may share a face
+CONVEX_ROWS = 64          # triangles per block of the convexity test
 
 class PlaneSet:
     """Ordered oriented planes encoding one convex region.
@@ -365,7 +365,10 @@ def encode_convex(mesh, eps=None):
 
     Every vertex must sit in the closed negative half-space of every
     triangle's plane (within ``eps``, default scaled by the bounding-box
-    diagonal); the first violation is reported in the NotConvex error.
+    diagonal); the first violation in (triangle, vertex) order is
+    reported in the NotConvex error.  The test runs CONVEX_ROWS
+    triangles at a time and stops at the first block that fails, so a
+    non-convex mesh rarely pays for the whole triangles x vertices table.
     Adjacent coplanar triangles contribute a single area-weighted plane.
     The result is sorted canonically by (nu, phi, h).
     """
@@ -375,17 +378,19 @@ def encode_convex(mesh, eps=None):
     if eps is None:
         eps = EPS_CONVEX_REL * diag
 
-    normals, offsets = triangle_planes(*mesh.triangle_corners())
-    dist = normals @ mesh.vertices.T - offsets[:, None]
-    bad = np.argwhere(dist > eps)
-    if len(bad):
-        t, v = (int(x) for x in bad[0])
-        raise NotConvex(
-            "vertex %d lies %.3g outside the plane of triangle %d"
-            % (v, float(dist[t, v]), t),
-            vertex_index=v,
-            triangle_index=t,
-        )
+    normals, offsets = mesh.planes
+    points = mesh.vertices.T
+    for r in range(0, len(normals), CONVEX_ROWS):
+        dist = normals[r:r + CONVEX_ROWS] @ points - offsets[r:r + CONVEX_ROWS, None]
+        bad = np.argwhere(dist > eps)
+        if len(bad):
+            t, v = (int(x) for x in bad[0])
+            raise NotConvex(
+                "vertex %d lies %.3g outside the plane of triangle %d"
+                % (v, float(dist[t, v]), r + t),
+                vertex_index=v,
+                triangle_index=r + t,
+            )
     patches = coplanar_patches(mesh, normals, offsets, eps)
     return patch_planes(mesh, patches, max(1.0, diag)).sorted_canonical()
 

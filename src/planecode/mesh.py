@@ -6,9 +6,11 @@ import itertools
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import triangle_planes
+
 
 class TriangleMesh:
-    """Vertices plus triangles, with lazily built edge adjacency.
+    """Vertices plus triangles, with lazily built edge adjacency and planes.
 
     ``vertices`` is an (V, 3) float array, ``triangles`` a (T, 3) int
     array.  Each triangle lists its corners counterclockwise as seen
@@ -38,6 +40,19 @@ class TriangleMesh:
     def neighbors(self):
         """Per triangle, its neighbours over edges walked exactly twice, unordered."""
         return adjacency(len(self.triangles), *self.edges.pairs())
+
+    @functools.cached_property
+    def planes(self):
+        """(normals, offsets) of every triangle's plane, from ``triangle_planes``.
+
+        Built once per mesh and read-only, so the convex attempt, the
+        segmentation and every part's polygons share one pass; a degenerate
+        triangle raises DegenerateTriangle on every read, since a failed
+        read caches nothing.
+        """
+        normals, offsets = triangle_planes(*self.triangle_corners())
+        normals.flags.writeable = offsets.flags.writeable = False
+        return normals, offsets
 
     @property
     def is_edge_manifold(self):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .convex import coplanar_patches
 from .errors import ParseError, UnsupportedFeature
-from .geometry import triangle_planes
 from .mesh import TriangleMesh, weld
 from .polygonize import SegmentedCode
 
@@ -286,6 +285,6 @@ def storage_report(mesh, code, quad_accounting=False):
 
 def count_coplanar_patches(mesh):
     """Number of maximal edge-connected coplanar triangle patches."""
-    normals, offsets = triangle_planes(*mesh.triangle_corners())
+    normals, offsets = mesh.planes
     eps = 1e-7 * max(1.0, mesh.bbox_diagonal())
     return len(coplanar_patches(mesh, normals, offsets, eps))

@@ -34,7 +34,7 @@ from .errors import (
     PartUndecodable,
     WeldMismatch,
 )
-from .geometry import TWO_PI, snapped_triplet, triangle_planes
+from .geometry import TWO_PI, snapped_triplet
 from .mesh import EdgeTable, TriangleMesh, fan, weld
 from .segmentation import PartKind, segment_mesh
 
@@ -101,7 +101,7 @@ def polygonize_part(mesh, part, eps=None):
     diag = mesh.bbox_diagonal()
     if eps is None:
         eps = EPS_CONVEX_REL * diag
-    normals, offsets = triangle_planes(*mesh.triangle_corners())
+    normals, offsets = mesh.planes
     patches = coplanar_patches(mesh, normals, offsets, eps, members=part.triangles)
     planes = patch_planes(mesh, patches, max(1.0, diag))
     return [
@@ -184,15 +184,16 @@ def boundary_planes_for_part(mesh, part, eps=None):
 
 
 def _fuse_collinear(points):
-    m = len(points)
-    keep = []
-    for i in range(m):
-        d1 = points[i] - points[i - 1]
-        d2 = points[(i + 1) % m] - points[i]
-        lim = EPS_LINE_REL * np.linalg.norm(d1) * np.linalg.norm(d2)
-        if np.linalg.norm(np.cross(d1, d2)) > lim:
-            keep.append(i)
-    if len(keep) < 3:
+    """The loop's corners whose two sides are not collinear, in loop order.
+
+    A corner goes when the cross product of its incoming and outgoing
+    sides is at most EPS_LINE_REL times the product of their lengths.
+    """
+    d1 = points - np.roll(points, 1, axis=0)
+    d2 = np.roll(points, -1, axis=0) - points
+    lim = EPS_LINE_REL * np.linalg.norm(d1, axis=1) * np.linalg.norm(d2, axis=1)
+    keep = np.linalg.norm(np.cross(d1, d2), axis=1) > lim
+    if np.count_nonzero(keep) < 3:
         raise BoundaryNotCuttable("boundary loop collapses to a line")
     return points[keep]
 

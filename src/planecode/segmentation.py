@@ -9,10 +9,14 @@ seeds, candidates explored in index order, admission checked against
 all current members.
 
 The check against all members costs O(1) per candidate: a growing part
-keeps, for every triangle, the largest signed distance of its corners
-to the members' planes and of the members' corners to its plane (signs
-flipped for pseudo-concave parts), and folds each new member into both
-running maxima with one O(T) numpy update.  No pairwise table is kept.
+keeps, for every vertex, the largest signed distance to the members'
+planes, and for every triangle, the largest signed distance of the
+members' vertices to its plane (signs flipped for pseudo-concave
+parts).  A candidate reads the first at its three corners and the
+second at itself.  Each new member folds its plane into the first with
+one O(V) numpy update, and each of its vertices not yet in the part
+into the second with one O(T) update; a vertex shared by many members
+is folded once.  No pairwise table is kept.
 """
 
 import enum
@@ -21,7 +25,7 @@ import heapq
 import numpy as np
 
 from .errors import InconsistentOrientation, NonManifold
-from .geometry import plane_from_triangle, triangle_planes
+from .geometry import plane_from_triangle
 from .mesh import adjacency
 
 EPS_ORIENT_REL = 1e-7  # six-vertex test slack per unit of bbox diagonal
@@ -93,14 +97,18 @@ def segment_mesh(mesh, eps=None):
 
     A growing part keeps two running maxima over its members m, with
     sigma = +1 for pseudo-convex and -1 for pseudo-concave: for every
-    triangle t, ``out_t[t]``, the largest sigma-signed distance of a
-    corner of t to a member's plane, and ``out_m[t]``, the largest
-    sigma-signed distance of a member's corner to the plane of t.  A
-    candidate is admitted when both are at most ``eps``, which is the
-    pairwise test against every member; each admission folds the new
-    member's distances into both maxima in one O(T) numpy update.  The
-    result is a partition: every triangle index appears in exactly one
-    part.
+    vertex v, ``out_v[v]``, the largest sigma-signed distance of v to a
+    member's plane, and for every triangle t, ``out_m[t]``, the largest
+    sigma-signed distance of a member's vertex to the plane of t.  A
+    candidate is admitted when ``out_v`` at its three corners and
+    ``out_m`` at itself are all at most ``eps``, which is the pairwise
+    test against every member.  Each admission folds the new member's
+    plane into ``out_v`` with one product over the V vertices, and each
+    of its vertices into ``out_m`` with one product over the T planes,
+    but only the first time that vertex joins the part: a vertex shared
+    by several members (up to six in a grid) adds the same distances
+    every time, so it is folded once.  The result is a partition: every
+    triangle index appears in exactly one part.
     """
     if not mesh.is_edge_manifold:
         raise NonManifold("an edge is shared by more than two triangles")
@@ -112,15 +120,18 @@ def segment_mesh(mesh, eps=None):
         eps = EPS_ORIENT_REL * mesh.bbox_diagonal()
 
     nt = len(mesh.triangles)
-    corners = mesh.vertices[mesh.triangles]
-    flat = corners.reshape(-1, 3)
-    normals, offs = triangle_planes(corners[:, 0], corners[:, 1], corners[:, 2])
+    vertices = mesh.vertices
+    corners = vertices[mesh.triangles]
+    tris = mesh.triangles.tolist()
+    normals, offs = mesh.planes
     neighbors = mesh.neighbors
     seed_pairs = _strict_neighbors(corners, normals, offs, *mesh.edges.pairs(), eps)
 
     assigned = np.zeros(nt, dtype=bool)
     parts = []
     for sigma, kind in ((1.0, PartKind.PSEUDO_CONVEX), (-1.0, PartKind.PSEUDO_CONCAVE)):
+        # negation is exact, so sigma * (x . n - h) == x . (sigma n) - sigma h
+        s_normals, s_offs = sigma * normals, sigma * offs
         strict = seed_pairs[kind]
         # assignment only grows, so a triangle that fails the seed test
         # fails it for the rest of the side: the scan resumes, not restarts
@@ -132,8 +143,9 @@ def segment_mesh(mesh, eps=None):
                 seed += 1
             if seed == nt:
                 break
-            out_t = np.full(nt, -np.inf)
+            out_v = np.full(len(vertices), -np.inf)
             out_m = np.full(nt, -np.inf)
+            folded = set()
             members = []
             rejected = set()
             heap = [seed]
@@ -141,16 +153,21 @@ def segment_mesh(mesh, eps=None):
                 t = heapq.heappop(heap)
                 if assigned[t] or t in rejected:
                     continue
-                if not (out_t[t] <= eps and out_m[t] <= eps):
+                a, b, c = tris[t]
+                if not (
+                    out_v[a] <= eps and out_v[b] <= eps and out_v[c] <= eps
+                    and out_m[t] <= eps
+                ):
                     # one refusal bars this triangle from the whole part
                     rejected.add(t)
                     continue
                 assigned[t] = True
                 members.append(t)
-                d_t = (sigma * (flat @ normals[t] - offs[t])).reshape(nt, 3)
-                for c in range(3):
-                    np.maximum(out_t, d_t[:, c], out=out_t)
-                    np.maximum(out_m, sigma * (normals @ corners[t, c] - offs), out=out_m)
+                np.maximum(out_v, vertices @ s_normals[t] - s_offs[t], out=out_v)
+                for v in (a, b, c):
+                    if v not in folded:
+                        folded.add(v)
+                        np.maximum(out_m, s_normals @ vertices[v] - s_offs, out=out_m)
                 for nb in neighbors[t]:
                     if not assigned[nb] and nb not in rejected:
                         heapq.heappush(heap, nb)

@@ -71,3 +71,36 @@ def test_transforms_keep_topology(cube_mesh):
     spun = cube_mesh.rotated(r)
     assert spun.volume() == pytest.approx(1.0, abs=1e-12)
     assert spun.surface_area() == pytest.approx(6.0, abs=1e-12)
+
+
+def test_planes_are_built_once_and_read_only():
+    from planecode.geometry import triangle_planes
+
+    m = shapes.notched_box()
+    normals, offsets = m.planes
+    assert m.planes[0] is normals and m.planes[1] is offsets
+    want_n, want_h = triangle_planes(*m.triangle_corners())
+    assert normals.tobytes() == want_n.tobytes()
+    assert offsets.tobytes() == want_h.tobytes()
+    with pytest.raises(ValueError):
+        normals[0, 0] = 1.0
+
+
+def sliver_tetrahedron():
+    """A closed tetrahedron whose face (0, 2, 1) has three collinear corners."""
+    verts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.5, 1.0, 1.0)]
+    return TriangleMesh(verts, [(0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3)])
+
+
+def test_a_degenerate_triangle_raises_at_every_planes_read():
+    from planecode import encode_convex, segment_mesh
+    from planecode.errors import DegenerateTriangle, NotClosed
+
+    m = sliver_tetrahedron()
+    assert m.is_closed and m.is_consistently_oriented
+    for call in (lambda: m.planes, lambda: encode_convex(m), lambda: segment_mesh(m)):
+        with pytest.raises(DegenerateTriangle):
+            call()
+    # the closedness check still comes first
+    with pytest.raises(NotClosed):
+        encode_convex(TriangleMesh(m.vertices, m.triangles[:3]))

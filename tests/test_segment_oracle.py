@@ -14,6 +14,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 import pytest
+from scipy.spatial import ConvexHull
 
 from planecode import TriangleMesh, load_mesh, segment_mesh, shapes, write_stl_binary
 from planecode.errors import InconsistentOrientation, NonManifold
@@ -286,3 +287,118 @@ def test_exact_axis_motions_keep_the_part_table(name, rot, shift):
         mesh.vertices @ ROTATIONS[rot].T + np.asarray(shift) / 2.0, mesh.triangles
     )
     assert part_table(segment_mesh(moved)) == part_table(segment_mesh(mesh))
+
+
+# -- vertices shared by many triangles, and a vertex no triangle uses ---
+
+def bipyramid(k, top, bottom, wobble=0.0):
+    """Two apex fans over a k-gon: every side triangle of a fan holds its apex.
+
+    ``top`` and ``bottom`` are the apex heights; a bottom apex above the
+    k-gon's plane dents the solid in, and ``wobble`` alternates the
+    k-gon's radius, so the rim is not convex.
+    """
+    theta = 2.0 * math.pi * np.arange(k) / k
+    radius = 1.0 + wobble * (-1.0) ** np.arange(k)
+    ring = np.column_stack([radius * np.cos(theta), radius * np.sin(theta), np.zeros(k)])
+    verts = np.vstack([ring, [[0.0, 0.0, top], [0.0, 0.0, bottom]]])
+    tris = []
+    for i in range(k):
+        j = (i + 1) % k
+        tris.append((i, j, k))
+        tris.append((j, i, k + 1))
+    return TriangleMesh(verts, tris)
+
+
+@pytest.mark.parametrize(
+    "top, bottom, wobble",
+    [(1.0, -1.0, 0.0), (1.0, 0.4, 0.0), (1.0, -1.0, 0.3), (1.0, 0.4, 0.3), (0.7, -0.2, 0.1)],
+)
+def test_bipyramids_over_a_32_gon_match_the_oracle(top, bottom, wobble):
+    mesh = bipyramid(32, top, bottom, wobble)
+    assert mesh.is_closed and mesh.is_consistently_oriented
+    assert_matches_oracle(mesh)
+    for rot in (3, 11):
+        assert_matches_oracle(TriangleMesh(mesh.vertices @ ROTATIONS[rot].T, mesh.triangles))
+
+
+def crater(k, depth):
+    """A k-gon prism whose top is a cone sunk ``depth`` below its rim.
+
+    The cone's k triangles share their apex and are mutually reflex.
+    They are listed last, so the walls and the bottom fan, which shares
+    its centre, grow into one pseudo-convex part first, and the cone
+    becomes one pseudo-concave part.
+    """
+    theta = 2.0 * math.pi * np.arange(k) / k
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    verts = np.vstack([
+        np.column_stack([ring, np.zeros(k)]),
+        np.column_stack([ring, np.ones(k)]),
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0 - depth]],
+    ])
+    tris, cone = [], []
+    for i in range(k):
+        j = (i + 1) % k
+        tris += [(i, j, k + j), (i, k + j, k + i), (j, i, 2 * k)]
+        cone.append((k + i, k + j, 2 * k + 1))
+    return TriangleMesh(verts, tris + cone)
+
+
+@pytest.mark.parametrize("depth", [0.3, 0.9])
+def test_a_sunk_cone_over_a_32_gon_matches_the_oracle(depth):
+    mesh = crater(32, depth)
+    assert mesh.is_closed and mesh.is_consistently_oriented
+    parts = segment_mesh(mesh)
+    assert [len(p.triangles) for p in parts if p.kind is PartKind.PSEUDO_CONCAVE] == [32]
+    assert_matches_oracle(mesh)
+    assert_matches_oracle(TriangleMesh(mesh.vertices @ ROTATIONS[7].T, mesh.triangles))
+
+
+def sphere_hull(seed, n):
+    """Outward-wound hull of n seeded points on the unit sphere: 2n - 4 triangles."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    hull = ConvexHull(pts)
+    tris = hull.simplices.copy()
+    normals = np.cross(pts[tris[:, 1]] - pts[tris[:, 0]], pts[tris[:, 2]] - pts[tris[:, 1]])
+    flip = np.einsum("ij,ij->i", normals, hull.equations[:, :3]) < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    return TriangleMesh(pts, tris)
+
+
+def bumpy_sphere(seed, n, amp):
+    """A sphere hull with each vertex then moved radially by up to ``amp``.
+
+    The surface stays closed and outward wound, but most dihedrals turn
+    reflex at random, so parts are small and a member's corner is often
+    shared with no other member: each corner must be folded in.
+    """
+    mesh = sphere_hull(seed, n)
+    scale = np.random.default_rng(seed + 1000).uniform(1.0 - amp, 1.0 + amp, size=(n, 1))
+    return TriangleMesh(mesh.vertices * scale, mesh.triangles)
+
+
+@pytest.mark.parametrize("n, amp", [(30, 0.3), (60, 0.1), (100, 0.05)])
+@pytest.mark.parametrize("seed", range(4))
+def test_bumpy_spheres_match_the_oracle(seed, n, amp):
+    mesh = bumpy_sphere(seed, n, amp)
+    assert mesh.is_closed and mesh.is_consistently_oriented
+    assert_matches_oracle(mesh)
+
+
+@pytest.mark.parametrize("at", [0, 5, -1])
+@pytest.mark.parametrize("name", sorted(GRID_FIXTURES))
+def test_a_vertex_no_triangle_uses_matches_the_oracle(name, at):
+    mesh = grid_cut(GRID_FIXTURES[name](), 2)
+    nv = len(mesh.vertices)
+    at = nv if at < 0 else at
+    # a stray point inside the bounding box, inserted at index ``at``
+    stray = mesh.vertices.mean(axis=0) + 0.01
+    verts = np.insert(mesh.vertices, at, stray, axis=0)
+    tris = mesh.triangles + (mesh.triangles >= at)
+    padded = TriangleMesh(verts, tris)
+    assert at not in set(padded.triangles.ravel().tolist())
+    assert_matches_oracle(padded)
+    assert part_table(segment_mesh(padded)) == part_table(segment_mesh(mesh))
