@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 mesh file problem (or bad arguments),
 """
 
 import argparse
+import functools
 import math
 import pathlib
 import sys
@@ -37,7 +38,9 @@ from .segmentation import segment_mesh
 from .simplify import SimplifyParams, simplify_code
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="planecode",
         description="Code triangle meshes as collections of oriented planes.",
@@ -214,6 +217,13 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    """Run one command; returns its exit code (see the module docstring).
+
+    Every call parses with the same cached ``build_parser()``: parsing
+    builds a fresh namespace each time, so no argument of one call
+    carries over to the next, and the benchmark and the tests, which
+    call ``main`` many times in one process, skip rebuilding it.
+    """
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

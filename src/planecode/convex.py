@@ -30,9 +30,10 @@ from .geometry import (
     OrientedPlane,
     SNAP_AXIS,
     SphericalDirection,
+    angle_rows,
     check_triplets,
-    snapped_triplet,
-    spherical_angles,
+    row_dots,
+    snapped_triplets,
 )
 from .mesh import TriangleMesh, components, fan
 
@@ -70,12 +71,14 @@ class PlaneSet:
 
     @classmethod
     def from_normals(cls, normals, offsets):
-        """PlaneSet of unit normals (n, 3) and offsets (n,)."""
-        rows = [
-            spherical_angles(w) + (float(h),)
-            for w, h in zip(np.asarray(normals, dtype=float), offsets)
-        ]
-        return cls.from_triplets(rows)
+        """PlaneSet of unit normals (n, 3) and offsets (n,), taken as given.
+
+        The angles come from ``angle_rows`` in one batch, so a normal
+        that is not unit length raises NotUnitVector naming the first
+        such row; nothing is snapped or renormalized.
+        """
+        w = np.asarray(normals, dtype=float).reshape(-1, 3)
+        return cls.from_triplets(np.column_stack([angle_rows(w), offsets]))
 
     def _store(self, triplets):
         t = np.array(triplets, dtype=float).reshape(-1, 3)
@@ -410,7 +413,7 @@ def coplanar_patches(mesh, normals, offsets, eps, members=None):
     inside = np.bincount(members, minlength=nt) > 0
     p, q = mesh.edges.pairs()
     p, q = np.compress(inside[p] & inside[q], (p, q), axis=1)
-    dot = np.matmul(normals[p][:, None, :], normals[q][:, :, None])[:, 0, 0]
+    dot = row_dots(normals[p], normals[q])
     flat = (dot >= math.cos(COPLANAR_ANGLE)) & (np.abs(offsets[p] - offsets[q]) <= eps)
     root = components(nt, p[flat], q[flat])[members]
     patches = {}
@@ -424,20 +427,29 @@ def patch_planes(mesh, patches, scale):
 
     The direction is the normalized sum of the patch's cross products
     and the plane passes through the area-weighted centroid; both are
-    zero-snapped at ``scale`` (see snapped_triplet).
+    zero-snapped at ``scale`` by one ``snapped_triplets`` call.  Patches
+    of one size are summed together, as one (patches, triangles) batch
+    whose per-patch sums run in the same order as a single patch's
+    would, so every row equals the one a patch-by-patch loop gives.
     """
     p1, p2, p3 = mesh.triangle_corners()
     cross = np.cross(p2 - p1, p3 - p2)
     centers = (p1 + p2 + p3) / 3.0
     areas = 0.5 * np.linalg.norm(cross, axis=1)
-    out = []
-    for patch in patches:
-        g = np.asarray(patch)
-        direction = cross[g].sum(axis=0)
-        direction /= np.linalg.norm(direction)
-        centroid = (centers[g] * areas[g, None]).sum(axis=0) / areas[g].sum()
-        out.append(snapped_triplet(direction, float(direction @ centroid), scale=scale))
-    return PlaneSet.from_triplets(out)
+    sizes = np.fromiter(map(len, patches), dtype=np.int64, count=len(patches))
+    directions = np.empty((len(patches), 3))
+    centroids = np.empty((len(patches), 3))
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        g = np.array([patches[r] for r in rows.tolist()], dtype=np.int64)
+        a = areas[g]
+        directions[rows] = cross[g].sum(axis=1)
+        centroids[rows] = (
+            (centers[g] * a[:, :, None]).sum(axis=1) / a.sum(axis=1)[:, None]
+        )
+    directions /= np.sqrt(row_dots(directions, directions))[:, None]
+    offsets = row_dots(directions, centroids)
+    return PlaneSet.from_triplets(snapped_triplets(directions, offsets, scale=scale))
 
 
 def translate_planes(code, a):

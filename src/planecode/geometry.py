@@ -12,6 +12,14 @@ from +x in ``[0, 2*pi)``.
 ``OrientedPlane`` constructors run it on every value they are given;
 ``PlaneSet`` runs it once per stored array, and the plane views it
 hands out trust that check instead of repeating it.
+
+Rounding contract.  Every batch routine here gives the same bits as the
+one-row code it replaced, so plane codes stay byte-stable.  Row dot
+products go through a stacked ``np.matmul`` of shape (n,1,3)@(n,3,1)
+(``row_dots``), which rounds like the 1-D ``a @ b``; ``np.einsum`` and
+elementwise sums do not.  The trigonometry of ``angle_rows`` stays on
+``math.acos`` and ``math.atan2`` per row, because numpy's SIMD
+``arccos`` and ``arctan2`` differ from libm by an ulp on some inputs.
 """
 
 import math
@@ -90,26 +98,45 @@ def check_triplets(triplets):
         raise exc
 
 
-def spherical_angles(w):
-    """Recover (nu, phi) from a unit vector.
+def row_dots(a, b):
+    """Dot products of matching rows of two (n, 3) arrays.
+
+    Each one rounds as the 1-D ``a[i] @ b[i]`` does (see the module
+    docstring).
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def angle_rows(w):
+    """(nu, phi) of each row of an (n, 3) array of unit vectors, as an (n, 2) array.
 
     nu = arccos(w_z).  phi comes from the two-argument arctangent of
     (w_y, w_x) folded into [0, 2*pi); a single-argument arccos recovery
-    would be sign-ambiguous in w_y.  Raises NotUnitVector when the
-    input norm is off by more than EPS_UNIT.
+    would be sign-ambiguous in w_y.  The norms are checked in one batch:
+    NotUnitVector names the first row whose norm is off by more than
+    EPS_UNIT.
     """
-    w = np.asarray(w, dtype=float)
-    n = math.sqrt(float(w @ w))
-    if abs(n - 1.0) > EPS_UNIT:
-        raise NotUnitVector("vector norm %.17g, expected 1" % n)
-    nu = math.acos(min(1.0, max(-1.0, float(w[2]))))
-    if w[0] == 0.0 and w[1] == 0.0:
-        return nu, 0.0
-    phi = math.atan2(float(w[1]), float(w[0])) % TWO_PI
-    if phi >= TWO_PI:
-        # a tiny negative atan2 result rounds up to exactly 2*pi
-        phi = 0.0
-    return nu, phi
+    norms = np.sqrt(row_dots(w, w))
+    bad = np.flatnonzero(np.abs(norms - 1.0) > EPS_UNIT)
+    if len(bad):
+        raise NotUnitVector("vector norm %.17g, expected 1" % norms[bad[0]])
+    out = []
+    for x, y, z in w.tolist():
+        nu = math.acos(min(1.0, max(-1.0, z)))
+        if x == 0.0 and y == 0.0:
+            out.append((nu, 0.0))
+            continue
+        phi = math.atan2(y, x) % TWO_PI
+        if phi >= TWO_PI:
+            # a tiny negative atan2 result rounds up to exactly 2*pi
+            phi = 0.0
+        out.append((nu, phi))
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+def spherical_angles(w):
+    """(nu, phi) of one unit vector (see angle_rows)."""
+    return tuple(angle_rows(np.asarray(w, dtype=float).reshape(1, 3))[0].tolist())
 
 
 def spherical_from_unit_vector(w):
@@ -183,21 +210,26 @@ def angle_between(u, v):
 SNAP_AXIS = 1e-12  # zero-snap for direction components and offsets
 
 
-def snapped_triplet(direction, h, scale=1.0):
-    """(nu, phi, h) row of an approximate normal and offset, zeroing noise.
+def snapped_triplets(directions, offsets, scale=1.0):
+    """(n, 3) array of (nu, phi, h) rows of approximate normals and offsets.
 
     Accumulated rounding leaves axis-aligned normals with stray 1e-17
     components and zero offsets at 1e-24; both survive a float-32
     round-trip because its precision is relative, which breaks
     re-encode byte stability.  Components below SNAP_AXIS (offsets
-    below SNAP_AXIS * scale) are therefore forced to exactly zero
-    before the angles are taken.  The row is not range-checked here:
-    ``PlaneSet`` checks it when it stores it.
+    below SNAP_AXIS * scale) are therefore forced to exactly zero, and
+    each direction is renormalized, before the angles are taken
+    (``angle_rows``).  The rows are not range-checked here:
+    ``PlaneSet`` checks them when it stores them.
     """
-    d = np.asarray(direction, dtype=float).copy()
+    d = np.array(directions, dtype=float).reshape(-1, 3)
     d[np.abs(d) < SNAP_AXIS] = 0.0
-    d /= math.sqrt(float(d @ d))
-    h = float(h)
-    if abs(h) < SNAP_AXIS * scale:
-        h = 0.0
-    return spherical_angles(d) + (h,)
+    d /= np.sqrt(row_dots(d, d))[:, None]
+    h = np.array(offsets, dtype=float).reshape(-1)
+    h[np.abs(h) < SNAP_AXIS * scale] = 0.0
+    return np.column_stack([angle_rows(d), h])
+
+
+def snapped_triplet(direction, h, scale=1.0):
+    """The one (nu, phi, h) row of ``snapped_triplets``, as Python floats."""
+    return tuple(snapped_triplets([direction], [h], scale)[0].tolist())

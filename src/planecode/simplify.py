@@ -12,17 +12,19 @@ pass reuses it when the area pass drops nothing, or else the decode
 that checks the kept planes still bound a solid.
 """
 
-from collections import Counter
+import math
 
 import numpy as np
 
 from .convex import PlaneSet, decode_convex
 from .errors import GeometryError, OverSimplified, PartUndecodable
-from .geometry import angle_between, snapped_triplet
+from .geometry import angle_between, row_dots, snapped_triplets
 from .mesh import EdgeTable
 from .polygonize import PartCode, SegmentedCode, decode_part
 
 HALF_PI = np.pi / 2.0
+SCREEN_MARGIN = 1e-9  # radians: screened angles this close to tau are recomputed
+SCREEN_RANGE = (1e-150, 1e150)  # sum norms that square without under- or overflow
 
 
 class SimplifyParams:
@@ -42,7 +44,10 @@ def _face_measurements(poly, n_planes):
 
     Each ring is fanned from its first vertex.  Rings of one length are
     measured together, as one (rings, triangles) batch whose per-ring
-    sums run in the same order as a single ring's would.  A ring with
+    sums run in the same order as a single ring's would.  The cross
+    products are written out as np.cross's formula and their norms as
+    sqrt(c0*c0 + c1*c1 + c2*c2), which round as ``np.cross`` and
+    ``np.linalg.norm(..., axis=2)`` do.  A ring with
     no area (fewer than three vertices, or collinear) gets area zero
     and the mean of its vertices.
     """
@@ -55,9 +60,12 @@ def _face_measurements(poly, n_planes):
         pts = poly.vertices[np.array([poly.faces[r] for r in rows.tolist()])]
         if k >= 3:
             v0 = pts[:, :1]
-            tri = 0.5 * np.linalg.norm(
-                np.cross(pts[:, 1:-1] - v0, pts[:, 2:] - v0), axis=2
-            )
+            x1, y1, z1 = np.moveaxis(pts[:, 1:-1] - v0, 2, 0)
+            x2, y2, z2 = np.moveaxis(pts[:, 2:] - v0, 2, 0)
+            c0 = y1 * z2 - z1 * y2
+            c1 = z1 * x2 - x1 * z2
+            c2 = x1 * y2 - y1 * x2
+            tri = 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
             total = tri.sum(axis=1)
             centers = (v0 + pts[:, 1:-1] + pts[:, 2:]) / 3.0
             spans = total > 0.0
@@ -172,9 +180,16 @@ def _merge_with_metrics(planes, areas, centroids, adjacency, params):
     area centroid.  A cluster's direction evolves as it grows, so each
     union is judged against the merged direction, not the seeds'.
     ``areas`` and ``centroids`` are the measured faces of ``planes``.
+
+    Direction sums are kept as Python float rows, added by the same
+    IEEE additions as numpy rows.  Each pair's angle is screened in
+    ``math``; only when it lies within SCREEN_MARGIN of tau, or a sum is
+    too small or too large to square safely, is the pair decided by
+    ``_exact_angle``, numpy's norm and ``angle_between``.  Centroid and
+    area sums are folded after the loop, in merge order, and the merged
+    planes come from one ``snapped_triplets`` call.
     """
     n = len(planes)
-    normals = planes.normals()
     parent = list(range(n))
 
     def find(x):
@@ -183,39 +198,69 @@ def _merge_with_metrics(planes, areas, centroids, adjacency, params):
             x = parent[x]
         return x
 
-    dir_sum = normals * np.asarray(areas)[:, None]
-    cen_sum = np.asarray(centroids) * np.asarray(areas)[:, None]
-    area_sum = np.asarray(areas, dtype=float).copy()
-    merged_any = False
+    areas = np.asarray(areas, dtype=float)
+    dir_sum = (planes.normals() * areas[:, None]).tolist()
+    tau = params.tau
+    merges = []
     for i, j in sorted(adjacency):
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
-        na, nb = np.linalg.norm(dir_sum[ri]), np.linalg.norm(dir_sum[rj])
-        if na == 0.0 or nb == 0.0:
-            continue
-        if angle_between(dir_sum[ri] / na, dir_sum[rj] / nb) < params.tau:
+        angle = _screen_angle(dir_sum[ri], dir_sum[rj])
+        if angle is None or abs(angle - tau) <= SCREEN_MARGIN:
+            angle = _exact_angle(dir_sum[ri], dir_sum[rj])
+            if angle is None:
+                continue
+        if angle < tau:
             parent[rj] = ri
-            dir_sum[ri] += dir_sum[rj]
-            cen_sum[ri] += cen_sum[rj]
-            area_sum[ri] += area_sum[rj]
-            merged_any = True
-    if not merged_any:
+            dir_sum[ri] = [a + b for a, b in zip(dir_sum[ri], dir_sum[rj])]
+            merges.append((ri, rj))
+    if not merges:
         return planes
+    cen_sum = np.asarray(centroids) * areas[:, None]
+    area_sum = areas.copy()
+    for ri, rj in merges:
+        cen_sum[ri] += cen_sum[rj]
+        area_sum[ri] += area_sum[rj]
+    roots = np.array([find(i) for i in range(n)])
+    _, first = np.unique(roots, return_index=True)
+    first.sort()
+    merged = np.bincount(roots, minlength=n)[roots[first]] > 1
+    ids = roots[first[merged]]
+    direction = np.array([dir_sum[r] for r in ids.tolist()])
+    direction /= np.sqrt(row_dots(direction, direction))[:, None]
+    centroid = cen_sum[ids] / area_sum[ids, None]
     scale = max(1.0, float(np.abs(np.asarray(centroids)).max(initial=0.0)))
-    roots = [find(i) for i in range(n)]
-    size = Counter(roots)
-    rows = []
-    emitted = set()
-    for i, root in enumerate(roots):
-        if root in emitted:
-            continue
-        emitted.add(root)
-        if size[root] == 1:
-            rows.append(planes.triplets()[i])
-            continue
-        direction = dir_sum[root] / np.linalg.norm(dir_sum[root])
-        centroid = cen_sum[root] / area_sum[root]
-        h = float(direction @ centroid)
-        rows.append(snapped_triplet(direction, h, scale=scale))
+    rows = planes.triplets()[first]
+    rows[merged] = snapped_triplets(direction, row_dots(direction, centroid), scale=scale)
     return PlaneSet.from_triplets(rows)
+
+
+def _screen_angle(a, b):
+    """Angle between two direction sums in Python floats, or None.
+
+    Rounds differently from ``_exact_angle`` by far less than
+    SCREEN_MARGIN.  None when a norm lies outside SCREEN_RANGE.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    na = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    nb = math.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
+    lo, hi = SCREEN_RANGE
+    if not (lo < na < hi and lo < nb < hi):
+        return None
+    a0, a1, a2 = a0 / na, a1 / na, a2 / na
+    b0, b1, b2 = b0 / nb, b1 / nb, b2 / nb
+    c0 = a1 * b2 - a2 * b1
+    c1 = a2 * b0 - a0 * b2
+    c2 = a0 * b1 - a1 * b0
+    return math.atan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), a0 * b0 + a1 * b1 + a2 * b2)
+
+
+def _exact_angle(a, b):
+    """Angle between two direction sums as numpy rounds it; None when one is zero."""
+    a, b = np.array(a), np.array(b)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return None
+    return angle_between(a / na, b / nb)

@@ -189,3 +189,70 @@ def test_junk_code_exits_4(capsys, tmp_path, cube_obj):
     rc, _, err = run(capsys, "decode", cube_obj, str(tmp_path / "o.obj"))
     assert rc == 4
     assert "BadMagic" in err
+
+
+def test_the_parser_is_built_once_per_process():
+    import planecode.cli
+
+    assert planecode.cli.build_parser() is planecode.cli.build_parser()
+
+
+def test_successive_calls_do_not_leak_arguments(capsys, monkeypatch):
+    import planecode.cli
+
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return 0
+
+    for name in ("encode", "decode"):
+        monkeypatch.setitem(planecode.cli._COMMANDS, name, record)
+    assert main(["encode", "a.obj", "a.plnc", "--eps", "1e-6"]) == 0
+    assert main(["encode", "b.obj", "b.plnc"]) == 0
+    assert main(["decode", "b.plnc", "b.stl", "--format", "stl"]) == 0
+    assert main(["decode", "c.plnc", "c.obj"]) == 0
+    assert seen == [
+        {"command": "encode", "mesh": "a.obj", "out": "a.plnc", "eps": 1e-6, "degrees": False},
+        {"command": "encode", "mesh": "b.obj", "out": "b.plnc", "eps": None, "degrees": False},
+        {"command": "decode", "code": "b.plnc", "out": "b.stl", "format": "stl", "eps": None},
+        {"command": "decode", "code": "c.plnc", "out": "c.obj", "format": None, "eps": None},
+    ]
+
+
+def uncached_exit(capsys, argv):
+    """Exit code, stdout and stderr of a parser built afresh for this call."""
+    import planecode.cli
+
+    with pytest.raises(SystemExit) as exc:
+        planecode.cli.build_parser.__wrapped__().parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode"],
+    ["decode", "a.plnc", "b.obj", "--format", "ply"],
+    ["simplify", "a.plnc", "b.plnc", "--tau", "wide"],
+    ["frobnicate"],
+    [],
+])
+def test_bad_arguments_exit_2_with_the_usage_of_a_fresh_parser(capsys, argv):
+    expected = uncached_exit(capsys, argv)
+    assert expected[0] == 2 and "usage: planecode" in expected[2]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == expected
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["encode", "--help"], ["stats", "--help"]])
+def test_help_matches_a_fresh_parser(capsys, argv):
+    expected = uncached_exit(capsys, argv)
+    assert expected[0] == 0 and expected[1].startswith("usage: planecode")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == expected
