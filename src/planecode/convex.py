@@ -5,12 +5,16 @@ solid itself is the intersection of their closed negative half-spaces.
 ``PlaneSet`` holds such a list as one (n, 3) float64 array of
 ``(nu, phi, h)`` rows with the unit normals computed once, so every
 module reads normals and offsets from it instead of rebuilding them.
-Decoding finds an interior point as the centre of the largest inscribed
-ball, read off the lower hull of the planes lifted to R^4, and hands it
-to Qhull's half-space intersection.  Each dual facet Qhull returns is
+Decoding first checks that the normals surround the origin, mostly by
+a certified screen of 128 support values and only otherwise by the 3-D
+hull of the normals.  It then finds an interior point as the centre of
+the largest inscribed ball, read off the lower hull of the planes
+lifted to R^4, and hands it to Qhull's half-space intersection, so a
+typical decode makes two Qhull calls.  Each dual facet Qhull returns is
 one vertex together with the planes that meet there: the vertex is
-solved from those planes' triples, and the same lists give every face
-ring its vertices, so incidence never depends on a distance tolerance.
+solved from those planes' triples, all in one batch when every vertex
+is simple (three planes), and the same lists give every face ring its
+vertices, so incidence never depends on a distance tolerance.
 
 This module also holds the pieces the segmented codec shares: coplanar
 patches as components of coplanar neighbours (``coplanar_patches``), the
@@ -44,6 +48,8 @@ MAX_VERTEX_TRIPLES = 220  # triples averaged per vertex, C(12, 3): bounds the co
 FEAS_REL = 1e-9           # least inscribed-ball radius per unit of max(1, |h|)
 COPLANAR_ANGLE = 1e-6     # radians; triangles closer than this may share a face
 CONVEX_ROWS = 64          # triangles per block of the convexity test
+SURROUND_DIRECTIONS = 128 # directions probed by the surround screen
+SURROUND_MARGIN = 1e-6    # ball about the origin the surround screen proves
 
 class PlaneSet:
     """Ordered oriented planes encoding one convex region.
@@ -52,10 +58,14 @@ class PlaneSet:
     rows, with the (n, 3) unit normals derived once from the angles.
     Indexing with an integer and iterating yield ``OrientedPlane``
     views; indexing with a slice or a boolean or index array yields a
-    new PlaneSet.  Every constructor checks the angle ranges and that
-    the offsets are finite, raising ValueError; the check runs once per
-    stored array, and the views trust it rather than checking each row
-    again.
+    new PlaneSet that takes the chosen rows with their normals, as
+    ``concatenate`` takes the rows of several sets.  Every other
+    constructor checks the angle ranges and that the offsets are
+    finite, raising ValueError; the check runs once per stored array,
+    and the views and the sets taken from it trust it rather than
+    checking each row again.  numpy's elementwise sin and cos round a
+    row the same wherever it sits in an array, so reused normals are
+    the ones a new set would compute.
     """
 
     def __init__(self, planes=()):
@@ -79,6 +89,25 @@ class PlaneSet:
         """
         w = np.asarray(normals, dtype=float).reshape(-1, 3)
         return cls.from_triplets(np.column_stack([angle_rows(w), offsets]))
+
+    @classmethod
+    def concatenate(cls, sets):
+        """PlaneSet of the planes of ``sets`` in turn, their normals reused."""
+        sets = list(sets)
+        return cls._of(
+            np.concatenate([p._triplets for p in sets]),
+            np.concatenate([p._normals for p in sets]),
+        )
+
+    @classmethod
+    def _of(cls, triplets, normals):
+        """PlaneSet of rows already checked, with their normals: nothing is recomputed."""
+        out = cls.__new__(cls)
+        out._triplets = triplets.reshape(-1, 3)
+        out._normals = normals.reshape(-1, 3)
+        out._triplets.flags.writeable = False
+        out._normals.flags.writeable = False
+        return out
 
     def _store(self, triplets):
         t = np.array(triplets, dtype=float).reshape(-1, 3)
@@ -107,7 +136,7 @@ class PlaneSet:
             plane = object.__new__(OrientedPlane)
             plane.__dict__.update(direction=direction, h=h)
             return plane
-        return PlaneSet.from_triplets(self._triplets[i])
+        return PlaneSet._of(self._triplets[i], self._normals[i])
 
     def __repr__(self):
         return "PlaneSet(n=%d)" % len(self)
@@ -156,10 +185,16 @@ class ConvexPolyhedron:
 def decode_convex(code, eps=None):
     """Intersect the closed negative half-spaces of ``code``.
 
-    The normals must surround the origin, else UnboundedRegion.  An
-    interior point is the centre of the largest ball inside every
-    half-space (``_chebyshev_centre``); when that ball's radius is at
-    most ``eps`` (default FEAS_REL * max(1, max |h|)) the region is
+    The normals must surround the origin, else UnboundedRegion.  A
+    screen (``_surrounds_origin``) proves that for most codes from 128
+    support values: when the normals' support function exceeds the
+    net's covering radius plus SURROUND_MARGIN in every direction of
+    SURROUND_NET, their hull holds a ball about the origin.  Only codes
+    it cannot clear build the 3-D hull of the normals, whose facets
+    must all pass more than 1e-9 from the origin.  An interior point is
+    the centre of the largest ball inside every half-space
+    (``_chebyshev_centre``, one 4-D hull); when that ball's radius is
+    at most ``eps`` (default FEAS_REL * max(1, max |h|)) the region is
     empty or flat, say a zero-thickness slab, and EmptyRegion is raised.
     Qhull's half-space intersection (Barber, Dobkin and Huhdanpaa, ACM
     TOMS 1996) then gives one dual facet per vertex, listing the planes
@@ -167,9 +202,12 @@ def decode_convex(code, eps=None):
     the 3x3 solves of those planes' triples (``_vertex_points``), with
     triples of condition number COND_LIMIT or more skipped; a closed-form
     determinant clears most triples, since cond(A) <= 2 / |det A| for
-    unit rows, and only the rest need an SVD condition estimate.  Each
-    plane's ring holds exactly the vertices whose dual facets list it,
-    in the order of their normal cones (``_rings``).
+    unit rows, and only the rest need an SVD condition estimate.  When
+    every vertex has three planes, as at a simple vertex, all of them
+    are solved in one batch.  So a typical decode makes two Qhull
+    calls, the 4-D hull and the intersection.  Each plane's ring holds
+    exactly the vertices whose dual facets list it, in the order of
+    their normal cones (``_rings``).
     An exact duplicate plane, which Qhull sees once, shares its first
     copy's ring; a plane with fewer than three vertices is redundant.
     Output is canonical: vertices sorted lexicographically, faces in
@@ -182,12 +220,13 @@ def decode_convex(code, eps=None):
     normals = code.normals()
     offsets = code.offsets()
 
-    try:
-        hull = ConvexHull(normals)
-    except QhullError:
-        raise UnboundedRegion("plane normals are degenerate (coplanar or fewer)")
-    if hull.equations[:, 3].max() > -1e-9:
-        raise UnboundedRegion("normals do not surround the origin")
+    if not _surrounds_origin(normals):
+        try:
+            hull = ConvexHull(normals)
+        except QhullError:
+            raise UnboundedRegion("plane normals are degenerate (coplanar or fewer)")
+        if hull.equations[:, 3].max() > -1e-9:
+            raise UnboundedRegion("normals do not surround the origin")
 
     feas = FEAS_REL * max(1.0, float(np.abs(offsets).max())) if eps is None else eps
 
@@ -239,6 +278,51 @@ def decode_convex(code, eps=None):
     return ConvexPolyhedron(verts, faces, face_planes, code, redundant)
 
 
+def _fibonacci_sphere(k):
+    """(k, 3) unit directions spread evenly over the sphere (Fibonacci lattice)."""
+    i = np.arange(k) + 0.5
+    z = 1.0 - 2.0 * i / k
+    r = np.sqrt(1.0 - z * z)
+    theta = math.pi * (1.0 + math.sqrt(5.0)) * i
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+
+
+def _covering_radius(net):
+    """Least chord distance within which every unit vector has a direction of ``net``.
+
+    The unit vectors farthest from the net are the centres of the
+    empty caps that the facets of the net's convex hull cut off the
+    sphere: a facet's outward unit normal, equidistant from its three
+    corners, with no direction of the net nearer.  The radius is the
+    largest distance from such a normal to its facet's corners.
+    """
+    hull = ConvexHull(net)
+    corners = net[hull.simplices]
+    return float(np.linalg.norm(corners - hull.equations[:, None, :3], axis=2).max())
+
+
+SURROUND_NET = _fibonacci_sphere(SURROUND_DIRECTIONS)
+SURROUND_RHO = _covering_radius(SURROUND_NET)
+
+
+def _surrounds_origin(normals):
+    """Whether the unit ``normals`` provably surround the origin with room to spare.
+
+    The support function h(d) = max_i omega_i . d of unit normals moves
+    by at most |d - d'| between two directions, and every unit vector
+    lies within SURROUND_RHO of a direction d_j of SURROUND_NET.  So
+    when every h(d_j) exceeds SURROUND_RHO + SURROUND_MARGIN, h exceeds
+    SURROUND_MARGIN everywhere: the normals' hull holds the ball of
+    that radius about the origin, every facet of it lies farther than
+    that from the origin, and the normals span three dimensions.  That
+    is the answer ``decode_convex``'s hull check would reach, far
+    beyond its 1e-9 slack and Qhull's rounding.  A False, NaN normals
+    included, proves nothing; the caller then runs the check itself.
+    """
+    support = (normals @ SURROUND_NET.T).max(axis=0)
+    return bool(support.min() > SURROUND_RHO + SURROUND_MARGIN)
+
+
 def _chebyshev_centre(normals, offsets):
     """Centre and radius of the largest ball inside every half-space.
 
@@ -272,7 +356,20 @@ def _vertex_points(normals, offsets, flat, sizes, fallback):
     skipping solves with condition number COND_LIMIT or more
     (``_usable``), and summed in that order.  A facet with no usable
     triple keeps Qhull's own intersection point from ``fallback``.
+    When every facet lists three planes, their one triple each is
+    screened and solved in one batch, with no sum: a mean of one solve
+    is that solve, bit for bit.
     """
+    if len(flat) == 3 * len(sizes):
+        # every facet lists at least three planes, so here each lists
+        # exactly three: one triple per vertex, and its solve is the mean
+        triples = np.sort(flat.reshape(-1, 3), axis=1)
+        a = normals[triples]
+        ok = _usable(a)
+        if not ok.all():
+            a[~ok] = np.eye(3)
+        sol = np.linalg.solve(a, offsets[triples][:, :, None])[:, :, 0]
+        return np.where(ok[:, None], sol, fallback)
     pts = np.array(fallback, dtype=float)
     starts = np.cumsum(sizes) - sizes
     for k in sorted(set(sizes.tolist())):

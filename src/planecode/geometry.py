@@ -113,13 +113,17 @@ def angle_rows(w):
     nu = arccos(w_z).  phi comes from the two-argument arctangent of
     (w_y, w_x) folded into [0, 2*pi); a single-argument arccos recovery
     would be sign-ambiguous in w_y.  The norms are checked in one batch:
-    NotUnitVector names the first row whose norm is off by more than
-    EPS_UNIT.
+    NotUnitVector names the norm of the first row whose norm is not
+    within EPS_UNIT of 1, a NaN included, and carries that row's index
+    as ``row``.
     """
     norms = np.sqrt(row_dots(w, w))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > EPS_UNIT)
+    # the accepting test, negated: NaN compares False either way
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= EPS_UNIT))
     if len(bad):
-        raise NotUnitVector("vector norm %.17g, expected 1" % norms[bad[0]])
+        exc = NotUnitVector("vector norm %.17g, expected 1" % norms[bad[0]])
+        exc.row = int(bad[0])
+        raise exc
     out = []
     for x, y, z in w.tolist():
         nu = math.acos(min(1.0, max(-1.0, z)))

@@ -360,12 +360,7 @@ def decode_part(part, index, eps=None):
     if part.kind is PartKind.PSEUDO_CONCAVE:
         faces = faces.negated()
     try:
-        return decode_convex(
-            PlaneSet.from_triplets(
-                np.concatenate([faces.triplets(), part.boundary_planes.triplets()])
-            ),
-            eps=eps,
-        )
+        return decode_convex(PlaneSet.concatenate([faces, part.boundary_planes]), eps=eps)
     except GeometryError as exc:
         raise PartUndecodable(
             "part %d undecodable: %s" % (index, exc), part_index=index

@@ -15,8 +15,9 @@ members' vertices to its plane (signs flipped for pseudo-concave
 parts).  A candidate reads the first at its three corners and the
 second at itself.  Each new member folds its plane into the first with
 one O(V) numpy update, and each of its vertices not yet in the part
-into the second with one O(T) update; a vertex shared by many members
-is folded once.  No pairwise table is kept.
+into the second with one O(T) update; a vertex shared by many members,
+like a plane shared by the triangles of one face, is folded once.  No
+pairwise table is kept.
 """
 
 import enum
@@ -26,7 +27,6 @@ import numpy as np
 
 from .errors import InconsistentOrientation, NonManifold
 from .geometry import plane_from_triangle
-from .mesh import adjacency
 
 EPS_ORIENT_REL = 1e-7  # six-vertex test slack per unit of bbox diagonal
 
@@ -105,10 +105,12 @@ def segment_mesh(mesh, eps=None):
     test against every member.  Each admission folds the new member's
     plane into ``out_v`` with one product over the V vertices, and each
     of its vertices into ``out_m`` with one product over the T planes,
-    but only the first time that vertex joins the part: a vertex shared
-    by several members (up to six in a grid) adds the same distances
-    every time, so it is folded once.  The result is a partition: every
-    triangle index appears in exactly one part.
+    but only the first time that plane or vertex joins the part: a
+    vertex shared by several members (up to six in a grid), or a plane
+    row bitwise equal to an earlier member's (the triangles of one cut
+    face), adds the same distances every time, so it is folded once.
+    The result is a partition: every triangle index appears in exactly
+    one part.
     """
     if not mesh.is_edge_manifold:
         raise NonManifold("an edge is shared by more than two triangles")
@@ -125,27 +127,30 @@ def segment_mesh(mesh, eps=None):
     tris = mesh.triangles.tolist()
     normals, offs = mesh.planes
     neighbors = mesh.neighbors
-    seed_pairs = _strict_neighbors(corners, normals, offs, *mesh.edges.pairs(), eps)
+    seeds = _strict_neighbors(corners, normals, offs, *mesh.edges.pairs(), eps)
+    plane_id = _plane_ids(normals, offs)
 
     assigned = np.zeros(nt, dtype=bool)
     parts = []
     for sigma, kind in ((1.0, PartKind.PSEUDO_CONVEX), (-1.0, PartKind.PSEUDO_CONCAVE)):
         # negation is exact, so sigma * (x . n - h) == x . (sigma n) - sigma h
         s_normals, s_offs = sigma * normals, sigma * offs
-        strict = seed_pairs[kind]
+        strict = seeds[kind]
         # assignment only grows, so a triangle that fails the seed test
         # fails it for the rest of the side: the scan resumes, not restarts
-        seed = 0
+        k = 0
         while True:
-            while seed < nt and (
-                assigned[seed] or all(assigned[nb] for nb in strict[seed])
+            while k < len(strict) and (
+                assigned[strict[k][0]] or all(assigned[nb] for nb in strict[k][1])
             ):
-                seed += 1
-            if seed == nt:
+                k += 1
+            if k == len(strict):
                 break
+            seed = strict[k][0]
             out_v = np.full(len(vertices), -np.inf)
             out_m = np.full(nt, -np.inf)
             folded = set()
+            folded_planes = set()
             members = []
             rejected = set()
             heap = [seed]
@@ -163,7 +168,9 @@ def segment_mesh(mesh, eps=None):
                     continue
                 assigned[t] = True
                 members.append(t)
-                np.maximum(out_v, vertices @ s_normals[t] - s_offs[t], out=out_v)
+                if plane_id[t] not in folded_planes:
+                    folded_planes.add(plane_id[t])
+                    np.maximum(out_v, vertices @ s_normals[t] - s_offs[t], out=out_v)
                 for v in (a, b, c):
                     if v not in folded:
                         folded.add(v)
@@ -180,12 +187,14 @@ def segment_mesh(mesh, eps=None):
 
 
 def _strict_neighbors(corners, normals, offs, i, j, eps):
-    """Per kind, each triangle's neighbors that form a pair strictly of it.
+    """Per kind, the triangles in a neighbor pair strictly of it, with those neighbors.
 
     A neighbor pair (i, j) is mutually nonpositive when each triangle
     lies in the closed negative half-space of the other's plane,
     mutually nonnegative in the mirror case.  Coplanar pairs are both,
     so they count for neither kind.  All pairs are tested in one batch.
+    Each kind gets a list of (triangle, neighbors) in triangle order
+    (``_seed_list``), which is all the seed scan reads.
     """
     # corners of one triangle against the other's plane, each way
     d_ij = np.matmul(corners[j], normals[i][:, :, None])[:, :, 0] - offs[i][:, None]
@@ -194,6 +203,31 @@ def _strict_neighbors(corners, normals, offs, i, j, eps):
     above = (d_ij >= -eps).all(axis=1) & (d_ji >= -eps).all(axis=1)
     convex, concave = below & ~above, above & ~below
     return {
-        PartKind.PSEUDO_CONVEX: adjacency(len(corners), i[convex], j[convex]),
-        PartKind.PSEUDO_CONCAVE: adjacency(len(corners), i[concave], j[concave]),
+        PartKind.PSEUDO_CONVEX: _seed_list(i[convex], j[convex]),
+        PartKind.PSEUDO_CONCAVE: _seed_list(i[concave], j[concave]),
     }
+
+
+def _seed_list(i, j):
+    """(t, [neighbors of t]) for each t in a pair of (i, j), by increasing t."""
+    x = np.concatenate([i, j])
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], np.concatenate([j, i])[order]
+    starts = np.flatnonzero(np.diff(x, prepend=-1))
+    return list(zip(x[starts].tolist(), [g.tolist() for g in np.split(y, starts[1:])]))
+
+
+def _plane_ids(normals, offs):
+    """Label each (normal, offset) row, equal labels for bitwise equal rows.
+
+    Equal rows fold the same distances into a growing part, and a
+    maximum taken twice is taken once, so only a row's first member
+    folds it.
+    """
+    key = np.column_stack([normals, offs]).view(np.uint64)
+    order = np.lexsort(key.T[::-1])
+    ks = key[order]
+    new = np.concatenate([[True], (ks[1:] != ks[:-1]).any(axis=1)])
+    ids = np.empty(len(key), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids.tolist()

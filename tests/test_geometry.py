@@ -14,12 +14,17 @@ from planecode import (
     plane_from_normal_offset,
     plane_from_triangle,
 )
+from planecode import PlaneSet
 from planecode.geometry import (
     TWO_PI,
+    angle_rows,
     snapped_triplet,
+    spherical_angles,
     spherical_from_unit_vector,
     unit_vector_from_spherical,
 )
+
+from test_plane_batch_oracle import oracle_spherical_angles
 
 HALF = math.pi / 2.0
 
@@ -52,6 +57,32 @@ def test_non_unit_vector_rejected():
         spherical_from_unit_vector(np.array([1.0, 1.0, 0.0]))
     with pytest.raises(NotUnitVector):
         spherical_from_unit_vector(np.zeros(3))
+
+
+def test_a_nan_direction_is_not_a_unit_vector():
+    with pytest.raises(NotUnitVector, match="^vector norm nan, expected 1$") as one:
+        spherical_angles([math.nan, 0.0, 0.0])
+    assert one.value.row == 0
+    with pytest.raises(NotUnitVector, match="^vector norm nan, expected 1$") as rows:
+        PlaneSet.from_normals([[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0]], [1.0, 1.0])
+    assert rows.value.row == 1
+    w = np.array([[0.0, 0.0, 1.0], [0.0, math.nan, 1.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(NotUnitVector) as first:
+        angle_rows(w)
+    assert first.value.row == 1
+
+
+def test_finite_unit_rows_keep_their_angles_bit_for_bit():
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=(2000, 3))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w[::7, :2] = 0.0  # poles, and rows that keep a zero component
+    w[::7, 2] = np.sign(w[::7, 2])
+    w[3::11, 1] = -0.0
+    w[3::11] /= np.linalg.norm(w[3::11], axis=1, keepdims=True)
+    got = angle_rows(w)
+    want = np.array([oracle_spherical_angles(row) for row in w])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_direction_range_validation():

@@ -60,6 +60,32 @@ def test_mask_indexing_keeps_order():
     assert list(sub) == [p for p, k in zip(code, keep) if k]
 
 
+def test_taken_rows_reuse_the_normals_a_new_set_would_compute():
+    code = encode_convex(seeded_hulls(8, 1)[0])
+    rng = np.random.default_rng(8)
+    picks = [
+        slice(None),
+        slice(1, None, 3),
+        slice(None, None, -1),
+        rng.random(len(code)) < 0.5,
+        rng.permutation(len(code))[:7],
+        np.zeros(len(code), dtype=bool),
+    ]
+    taken = [code[i] for i in picks]
+    taken.append(PlaneSet.concatenate([code[::2], code.negated(), code[:0]]))
+    for sub in taken:
+        fresh = PlaneSet.from_triplets(sub.triplets())
+        assert sub.triplets().tobytes() == fresh.triplets().tobytes()
+        assert sub.normals().tobytes() == fresh.normals().tobytes()
+        assert not sub.triplets().flags.writeable
+        assert not sub.normals().flags.writeable
+    # taking rows never writes through to the set they came from
+    before = code.normals().tobytes()
+    with pytest.raises(ValueError):
+        code[1:].normals()[0, 0] = 2.0
+    assert code.normals().tobytes() == before
+
+
 def _rotated_normals_loop(code, r):
     """Reference: one plane at a time, snapped and renormalized."""
     out = []

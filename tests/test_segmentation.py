@@ -185,3 +185,16 @@ def test_a_1020_triangle_hull_segments_in_well_under_a_second():
     elapsed = time.perf_counter() - t0
     assert [(p.kind, len(p.triangles)) for p in parts] == [(PartKind.PSEUDO_CONVEX, 1020)]
     assert elapsed < 1.0
+
+
+def test_seed_lists_and_plane_labels():
+    from planecode.segmentation import _plane_ids, _seed_list
+
+    i, j = np.array([4, 1, 1]), np.array([2, 4, 0])
+    assert _seed_list(i, j) == [(0, [1]), (1, [4, 0]), (2, [4]), (4, [2, 1])]
+    assert _seed_list(i[:0], j[:0]) == []
+    normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    offs = np.array([1.0, 1.0, 1.0, 2.0])
+    ids = _plane_ids(normals, offs)
+    # bitwise equal rows share a label; -0.0 and 0.0 do not
+    assert ids[0] == ids[1] and len({ids[0], ids[2], ids[3]}) == 3
