@@ -503,7 +503,8 @@ def coplanar_patches(mesh, normals, offsets, eps, members=None):
     triangles in ``members`` (default: all) take part, and all their
     neighbour pairs are tested in one batch, each dot product rounding as
     the scalar ``normals[t] @ normals[nb]`` does.  Patches are the
-    ``components`` of the coplanar pairs, sorted, smallest triangle first.
+    ``components`` of the coplanar pairs, run over the members alone,
+    sorted, smallest triangle first.
     """
     nt = len(mesh.triangles)
     members = np.arange(nt) if members is None else np.unique(members).astype(int)
@@ -512,7 +513,8 @@ def coplanar_patches(mesh, normals, offsets, eps, members=None):
     p, q = np.compress(inside[p] & inside[q], (p, q), axis=1)
     dot = row_dots(normals[p], normals[q])
     flat = (dot >= math.cos(COPLANAR_ANGLE)) & (np.abs(offsets[p] - offsets[q]) <= eps)
-    root = components(nt, p[flat], q[flat])[members]
+    local = np.cumsum(inside) - 1  # a member's position in ``members``
+    root = components(len(members), local[p[flat]], local[q[flat]])
     patches = {}
     for t, r in zip(members.tolist(), root.tolist()):
         patches.setdefault(r, []).append(t)
@@ -528,21 +530,22 @@ def patch_planes(mesh, patches, scale):
     of one size are summed together, as one (patches, triangles) batch
     whose per-patch sums run in the same order as a single patch's
     would, so every row equals the one a patch-by-patch loop gives.
+    Only the patches' own triangles are measured.
     """
-    p1, p2, p3 = mesh.triangle_corners()
-    cross = np.cross(p2 - p1, p3 - p2)
-    centers = (p1 + p2 + p3) / 3.0
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    v = mesh.vertices
     sizes = np.fromiter(map(len, patches), dtype=np.int64, count=len(patches))
     directions = np.empty((len(patches), 3))
     centroids = np.empty((len(patches), 3))
     for k in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == k)
         g = np.array([patches[r] for r in rows.tolist()], dtype=np.int64)
-        a = areas[g]
-        directions[rows] = cross[g].sum(axis=1)
+        t = mesh.triangles[g]
+        p1, p2, p3 = v[t[..., 0]], v[t[..., 1]], v[t[..., 2]]
+        cross = np.cross(p2 - p1, p3 - p2)
+        a = 0.5 * np.linalg.norm(cross, axis=2)
+        directions[rows] = cross.sum(axis=1)
         centroids[rows] = (
-            (centers[g] * a[:, :, None]).sum(axis=1) / a.sum(axis=1)[:, None]
+            ((p1 + p2 + p3) / 3.0 * a[:, :, None]).sum(axis=1) / a.sum(axis=1)[:, None]
         )
     directions /= np.sqrt(row_dots(directions, directions))[:, None]
     offsets = row_dots(directions, centroids)

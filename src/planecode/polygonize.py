@@ -157,12 +157,15 @@ def boundary_planes_for_part(mesh, part, eps=None):
     sides.  A loop whose corners are coplanar yields one plane; other
     loops get one plane per planar run of three or more sides, and one
     plane per remaining single side chosen from the side's pencil of
-    planes.  Every returned plane keeps all of the part's vertices in
-    its closed negative half-space.
+    planes (``_pencil_plane``): the middle of the one arc of its normals
+    that keeps the part behind it.  That arc is an intersection of
+    half-circles, so it is one arc or none.  Every returned plane keeps
+    all of the part's vertices in its closed negative half-space.
     """
     diag = mesh.bbox_diagonal()
     if eps is None:
         eps = EPS_CONVEX_REL * diag
+    scale = max(1.0, diag)
     part_verts = mesh.vertices[np.unique(mesh.triangles[part.triangles])]
     planes = []
     for loop in next(_border_loops(mesh, [part.triangles])):
@@ -170,16 +173,10 @@ def boundary_planes_for_part(mesh, part, eps=None):
         normal, centroid, sv = _fit_svd(corners)
         if sv[2] <= EPS_FIT_REL * max(sv[0], 1.0):
             planes.append(
-                _oriented_cut(
-                    normal,
-                    float(normal @ centroid),
-                    part_verts,
-                    eps,
-                    scale=max(1.0, diag),
-                )
+                _oriented_cut(normal, float(normal @ centroid), part_verts, eps, scale)
             )
         else:
-            planes.extend(_cut_warped_loop(corners, part_verts, eps, diag))
+            planes.extend(_cut_warped_loop(corners, part_verts, eps, scale))
     return PlaneSet.from_triplets(planes)
 
 
@@ -199,13 +196,13 @@ def _fuse_collinear(points):
 
 
 def _fit_svd(points):
+    """Normal, centroid and singular values of the best plane through 3+ points."""
     centroid = points.mean(axis=0)
     _, sv, vt = np.linalg.svd(points - centroid)
-    sv = np.concatenate([sv, np.zeros(3 - len(sv))]) if len(sv) < 3 else sv
     return vt[2], centroid, sv
 
 
-def _oriented_cut(normal, h, part_verts, eps, scale=1.0):
+def _oriented_cut(normal, h, part_verts, eps, scale):
     d = part_verts @ normal - h
     if (d <= eps).all():
         return snapped_triplet(normal, h, scale=scale)
@@ -214,7 +211,7 @@ def _oriented_cut(normal, h, part_verts, eps, scale=1.0):
     raise BoundaryNotCuttable("rim plane does not separate the part")
 
 
-def _cut_warped_loop(corners, part_verts, eps, diag):
+def _cut_warped_loop(corners, part_verts, eps, scale):
     """One plane per planar side-run (>= 3 sides), else per single side."""
     m = len(corners)
     assigned = [False] * m
@@ -237,11 +234,7 @@ def _cut_warped_loop(corners, part_verts, eps, diag):
                 normal, centroid, _ = _fit_svd(corners[idx])
                 try:
                     plane = _oriented_cut(
-                        normal,
-                        float(normal @ centroid),
-                        part_verts,
-                        eps,
-                        scale=max(1.0, diag),
+                        normal, float(normal @ centroid), part_verts, eps, scale
                     )
                 except BoundaryNotCuttable:
                     length -= 1
@@ -261,19 +254,20 @@ def _cut_warped_loop(corners, part_verts, eps, diag):
             out.append(run_planes[s])
         elif not assigned[s]:
             out.append(
-                _pencil_plane(corners[s], corners[(s + 1) % m], part_verts, diag)
+                _pencil_plane(corners[s], corners[(s + 1) % m], part_verts, scale)
             )
     return out
 
 
-def _pencil_plane(p0, p1, part_verts, diag):
+def _pencil_plane(p0, p1, part_verts, scale):
     """Snapped (nu, phi, h) row of a separating plane through the segment p0-p1.
 
     Any plane containing the segment's line has normal
     cos(t) u + sin(t) v in the basis (u, v) orthogonal to the line.
     Each part vertex off the line forbids the open half-circle of
-    normals that would put it strictly outside; the midpoint of the
-    widest surviving arc is the most robust choice.
+    normals that would put it strictly outside.  What survives is an
+    intersection of closed half-circles, so it is one arc or nothing,
+    and its midpoint is the most robust choice (``_free_arc``).
     """
     d = p1 - p0
     d = d / np.linalg.norm(d)
@@ -285,47 +279,38 @@ def _pencil_plane(p0, p1, part_verts, diag):
     rel = part_verts - p0
     a = rel @ u
     b = rel @ v
-    keep = np.hypot(a, b) > 1e-9 * max(1.0, diag)
-    centers = np.arctan2(b[keep], a[keep])
-    arcs = _free_arcs(centers)
-    if not arcs:
+    keep = np.hypot(a, b) > 1e-9 * scale
+    arc = _free_arc(np.arctan2(b[keep], a[keep]))
+    if arc is None:
         raise BoundaryNotCuttable("no separating plane through boundary edge")
-    start, width = min(arcs, key=lambda g: (-g[1], g[0]))
+    start, width = arc
     theta = (start + width / 2.0) % TWO_PI
     normal = math.cos(theta) * u + math.sin(theta) * v
-    return snapped_triplet(normal, float(normal @ p0), scale=max(1.0, diag))
+    return snapped_triplet(normal, float(normal @ p0), scale=scale)
 
 
-def _free_arcs(centers):
-    """Arcs of the circle not covered by any (c - pi/2, c + pi/2)."""
+def _free_arc(centers):
+    """(start, width) of the arc no (c - pi/2, c + pi/2) covers, or None.
+
+    Sorted, the centres leave one widest circular gap; the arc runs from
+    pi/2 past the centre before it to pi/2 short of the one after it.
+    Any other gap is below pi, so no other arc exists.  An arc of width
+    1e-9 or less counts as none, and no centres leave the whole circle.
+    """
     if len(centers) == 0:
-        return [(0.0, TWO_PI)]
-    spans = []
-    for c in centers:
-        s = (c - math.pi / 2.0) % TWO_PI
-        e = (c + math.pi / 2.0) % TWO_PI
-        if s <= e:
-            spans.append((s, e))
-        else:
-            spans.append((s, TWO_PI))
-            spans.append((0.0, e))
-    spans.sort()
-    merged = [list(spans[0])]
-    for s, e in spans[1:]:
-        if s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    arcs = []
-    for k in range(len(merged)):
-        end = merged[k][1]
-        nxt = merged[(k + 1) % len(merged)][0]
-        if k == len(merged) - 1:
-            nxt += TWO_PI
-        width = nxt - end
-        if width > 1e-9:
-            arcs.append((end % TWO_PI, width))
-    return arcs
+        return 0.0, TWO_PI
+    c = np.sort(centers)
+    gaps = np.diff(c, append=c[0] + TWO_PI)
+    k = int(np.argmax(gaps))
+    if not gaps[k] > math.pi:
+        return None
+    end = (c[k] + math.pi / 2.0) % TWO_PI
+    nxt = (c[(k + 1) % len(c)] - math.pi / 2.0) % TWO_PI
+    if nxt < end:  # the arc wraps through angle 0
+        nxt += TWO_PI
+    width = nxt - end
+    # end rounds to 2pi itself when c[k] + pi/2 is a tiny negative
+    return (end % TWO_PI, width) if width > 1e-9 else None
 
 
 def encode_segmented(mesh, eps=None):

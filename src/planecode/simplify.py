@@ -114,8 +114,10 @@ def simplify_code(code, params, eps=None):
     ``params.delta``; a redundant plane has area zero, so delta = 0
     keeps every plane.  The merge pass then unions adjacent planes
     whose directions differ by less than ``params.tau`` (skipped at
-    tau = 0).  Segmented codes are simplified part by part on their
-    face planes; boundary cutting planes are never dropped or merged.
+    tau = 0).  A convex code that either pass would leave with fewer
+    than 4 planes raises OverSimplified.  Segmented codes are simplified
+    part by part on their face planes; boundary cutting planes are never
+    dropped or merged.
     """
     if isinstance(code, SegmentedCode):
         return SegmentedCode(
@@ -133,6 +135,8 @@ def simplify_code(code, params, eps=None):
             areas, centroids = _face_measurements(poly, len(out))
     if params.tau > 0.0:
         out = _merge_with_metrics(out, areas, centroids, _face_adjacency(poly), params)
+        if len(out) < 4:
+            raise OverSimplified("only %d plane(s) would remain" % len(out))
     return out
 
 

@@ -30,6 +30,8 @@ PINNED = {
     ("notched_box", 3, True): "BoundaryNotCuttable",
     ("notched_box", 4, False): "1d87b79d08b87e14139d8bab04742de5bece757e1c01a9ae7b89425bdda69797",
     ("notched_box", 4, True): "BoundaryNotCuttable",
+    ("notched_box", 8, False): "1d87b79d08b87e14139d8bab04742de5bece757e1c01a9ae7b89425bdda69797",
+    ("notched_box", 8, True): "NonSimpleBoundary",
     ("two_notch_box", 1, False): "91a168a69f10e837fa7e207f4b0cf81c75485132908c3d741f34973119099f0b",
     ("two_notch_box", 1, True): "91a168a69f10e837fa7e207f4b0cf81c75485132908c3d741f34973119099f0b",
     ("two_notch_box", 2, False): "91a168a69f10e837fa7e207f4b0cf81c75485132908c3d741f34973119099f0b",
@@ -38,6 +40,8 @@ PINNED = {
     ("two_notch_box", 3, True): "83861edda17474eabd8531ed5ae81a76a3166b71935888490058b01a97a942f1",
     ("two_notch_box", 4, False): "91a168a69f10e837fa7e207f4b0cf81c75485132908c3d741f34973119099f0b",
     ("two_notch_box", 4, True): "91a168a69f10e837fa7e207f4b0cf81c75485132908c3d741f34973119099f0b",
+    ("two_notch_box", 8, False): "91a168a69f10e837fa7e207f4b0cf81c75485132908c3d741f34973119099f0b",
+    ("two_notch_box", 8, True): "91a168a69f10e837fa7e207f4b0cf81c75485132908c3d741f34973119099f0b",
     ("l_prism", 1, False): "12540eac4733ea041f463a88da209fbcf4a3f0771aea24237612d22a9631c294",
     ("l_prism", 1, True): "12540eac4733ea041f463a88da209fbcf4a3f0771aea24237612d22a9631c294",
     ("l_prism", 2, False): "BoundaryNotCuttable",

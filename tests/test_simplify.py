@@ -205,3 +205,30 @@ def test_cli_simplify_honours_eps(capsys, tmp_path):
     assert back.is_closed and back.is_edge_manifold
     assert main(["simplify", str(src), str(dst), "--tau", "5"]) == 3
     assert "EmptyRegion" in capsys.readouterr().err
+
+
+# The 8-plane hull of six sphere points (``083_hull_p6`` of the seed-22
+# ``code_ops`` benchmark corpus) as stored: at delta 1e-3 and tau 20 deg
+# the merge pass folds it to 3 planes, which bound no volume.
+HULL_P6 = bytes.fromhex(
+    "504c4e43010008000000febb983d797b7840d645563ddd98b13e1a679640700100be"
+    "4dac0a3fcc21964084464dbe48ba353f98a89b4036cb1abede431d4065fc7b3f629e"
+    "043fc18b1d40b15d7c3f38c0033fbe5d274068ade93ffb8e9e3e7b652940e9c7e03f"
+    "19ff9a3e"
+)
+
+
+def test_a_merge_that_leaves_three_planes_is_rejected():
+    code = read_code(HULL_P6)
+    assert len(code) == 8
+    with pytest.raises(OverSimplified, match="only 3 plane"):
+        simplify_code(code, SimplifyParams(delta=1e-3, tau=np.radians(20)))
+
+
+def test_cli_simplify_refuses_a_merge_to_three_planes(capsys, tmp_path):
+    src, dst = tmp_path / "h6.plnc", tmp_path / "out.plnc"
+    src.write_bytes(HULL_P6)
+    argv = ["simplify", str(src), str(dst), "--delta", "0.001", "--tau", "20"]
+    assert main(argv) == 3
+    assert "OverSimplified: only 3 plane(s) would remain" in capsys.readouterr().err
+    assert not dst.exists()
