@@ -14,9 +14,8 @@ print("input: %d vertices, %d triangles, volume %.3f" % (
 
 code = encode_convex(mesh).sorted_canonical()
 print("\nthe six planes, (nu, phi) in degrees and offset h:")
-for p in code:
-    print("  nu=%8.3f  phi=%8.3f  h=%8.3f" % (
-        np.degrees(p.direction.nu), np.degrees(p.direction.phi), p.h))
+for nu, phi, h in code:
+    print("  nu=%8.3f  phi=%8.3f  h=%8.3f" % (np.degrees(nu), np.degrees(phi), h))
 
 report = storage_report(mesh, code)
 print("\nstorage ledger:")

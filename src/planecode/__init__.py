@@ -43,13 +43,7 @@ from .errors import (
     UnsupportedVersion,
     WeldMismatch,
 )
-from .geometry import (
-    OrientedPlane,
-    SphericalDirection,
-    angle_between,
-    plane_from_normal_offset,
-    plane_from_triangle,
-)
+from .geometry import angle_between
 from .mesh import TriangleMesh
 from .mesh_io import (
     StorageReport,
@@ -101,7 +95,6 @@ __all__ = [
     "NotClosed",
     "NotConvex",
     "NotUnitVector",
-    "OrientedPlane",
     "OverSimplified",
     "ParseError",
     "PartCode",
@@ -112,7 +105,6 @@ __all__ = [
     "PolygonFace",
     "SegmentedCode",
     "SimplifyParams",
-    "SphericalDirection",
     "StorageReport",
     "TriangleMesh",
     "TruncatedPayload",
@@ -129,8 +121,6 @@ __all__ = [
     "encode_segmented",
     "load_mesh",
     "mutual_orientation",
-    "plane_from_normal_offset",
-    "plane_from_triangle",
     "polygonize_part",
     "read_code",
     "rotate_planes",

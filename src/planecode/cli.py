@@ -117,11 +117,8 @@ def _angle(value, degrees):
 def _print_planes(planes, degrees):
     unit = "deg" if degrees else "rad"
     print("      nu (%s)    phi (%s)            h" % (unit, unit))
-    for p in planes:
-        print(
-            "%12.6f %12.6f %12.6f"
-            % (_angle(p.direction.nu, degrees), _angle(p.direction.phi, degrees), p.h)
-        )
+    for nu, phi, h in planes:
+        print("%12.6f %12.6f %12.6f" % (_angle(nu, degrees), _angle(phi, degrees), h))
 
 
 def _cmd_encode(args):

@@ -92,7 +92,7 @@ def _parse_planes(data, offset, count, label):
         .reshape(count, 3)
     )
     try:
-        return PlaneSet.from_triplets(raw)
+        return PlaneSet(raw)
     except ValueError as exc:
         nu, phi, h = raw[exc.row].tolist()
         raise AngleOutOfRange(

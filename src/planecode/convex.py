@@ -5,6 +5,8 @@ solid itself is the intersection of their closed negative half-spaces.
 ``PlaneSet`` holds such a list as one (n, 3) float64 array of
 ``(nu, phi, h)`` rows with the unit normals computed once, so every
 module reads normals and offsets from it instead of rebuilding them.
+It is the one plane container: a single plane is one of its rows, a
+``(nu, phi, h)`` tuple, with no object of its own.
 Decoding first checks that the normals surround the origin, mostly by
 a certified screen of 128 support values and only otherwise by the 3-D
 hull of the normals.  It then finds an interior point as the centre of
@@ -31,9 +33,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import EmptyRegion, NotARotation, NotClosed, UnboundedRegion, NotConvex
 from .geometry import (
-    OrientedPlane,
     SNAP_AXIS,
-    SphericalDirection,
     angle_rows,
     check_triplets,
     row_dots,
@@ -56,28 +56,29 @@ class PlaneSet:
 
     Stored as one read-only (n, 3) float64 array of ``(nu, phi, h)``
     rows, with the (n, 3) unit normals derived once from the angles.
-    Indexing with an integer and iterating yield ``OrientedPlane``
-    views; indexing with a slice or a boolean or index array yields a
-    new PlaneSet that takes the chosen rows with their normals, as
-    ``concatenate`` takes the rows of several sets.  Every other
-    constructor checks the angle ranges and that the offsets are
-    finite, raising ValueError; the check runs once per stored array,
-    and the views and the sets taken from it trust it rather than
-    checking each row again.  numpy's elementwise sin and cos round a
-    row the same wherever it sits in an array, so reused normals are
-    the ones a new set would compute.
+    ``PlaneSet(rows)`` takes any sequence or (n, 3) array of rows and
+    checks the angle ranges and that the offsets are finite, raising
+    ValueError; ``from_normals`` checks the same.  Indexing with an
+    integer and iterating yield each row as a ``(nu, phi, h)`` tuple of
+    Python floats.  Indexing with a slice or a boolean or index array
+    yields a new PlaneSet that takes the chosen rows with their
+    normals, as ``concatenate`` takes the rows of several sets; the
+    check runs once per stored array, and the sets taken from it trust
+    it rather than checking each row again.  numpy's elementwise sin
+    and cos round a row the same wherever it sits in an array, so
+    reused normals are the ones a new set would compute.
     """
 
-    def __init__(self, planes=()):
-        rows = [(p.direction.nu, p.direction.phi, p.h) for p in planes]
-        self._store(rows)
-
-    @classmethod
-    def from_triplets(cls, triplets):
-        """PlaneSet of the rows of an (n, 3) ``(nu, phi, h)`` array."""
-        out = cls.__new__(cls)
-        out._store(triplets)
-        return out
+    def __init__(self, rows=()):
+        t = np.array(rows, dtype=float).reshape(-1, 3)
+        check_triplets(t)
+        nu, phi = t[:, 0], t[:, 1]
+        s = np.sin(nu)
+        normals = np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(nu)], axis=1)
+        t.flags.writeable = False
+        normals.flags.writeable = False
+        self._triplets = t
+        self._normals = normals
 
     @classmethod
     def from_normals(cls, normals, offsets):
@@ -88,7 +89,7 @@ class PlaneSet:
         such row; nothing is snapped or renormalized.
         """
         w = np.asarray(normals, dtype=float).reshape(-1, 3)
-        return cls.from_triplets(np.column_stack([angle_rows(w), offsets]))
+        return cls(np.column_stack([angle_rows(w), offsets]))
 
     @classmethod
     def concatenate(cls, sets):
@@ -109,33 +110,15 @@ class PlaneSet:
         out._normals.flags.writeable = False
         return out
 
-    def _store(self, triplets):
-        t = np.array(triplets, dtype=float).reshape(-1, 3)
-        check_triplets(t)
-        nu, phi = t[:, 0], t[:, 1]
-        s = np.sin(nu)
-        normals = np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(nu)], axis=1)
-        t.flags.writeable = False
-        normals.flags.writeable = False
-        self._triplets = t
-        self._normals = normals
-
     def __len__(self):
         return len(self._triplets)
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return map(tuple, self._triplets.tolist())
 
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
-            # the row passed check_triplets when stored: fill the frozen
-            # dataclasses without running their __post_init__ checks
-            nu, phi, h = self._triplets[i].tolist()
-            direction = object.__new__(SphericalDirection)
-            direction.__dict__.update(nu=nu, phi=phi)
-            plane = object.__new__(OrientedPlane)
-            plane.__dict__.update(direction=direction, h=h)
-            return plane
+            return tuple(self._triplets[i].tolist())
         return PlaneSet._of(self._triplets[i], self._normals[i])
 
     def __repr__(self):
@@ -515,10 +498,15 @@ def coplanar_patches(mesh, normals, offsets, eps, members=None):
     flat = (dot >= math.cos(COPLANAR_ANGLE)) & (np.abs(offsets[p] - offsets[q]) <= eps)
     local = np.cumsum(inside) - 1  # a member's position in ``members``
     root = components(len(members), local[p[flat]], local[q[flat]])
-    patches = {}
-    for t, r in zip(members.tolist(), root.tolist()):
-        patches.setdefault(r, []).append(t)
-    return list(patches.values())
+    if not len(root):
+        return []
+    # each component's root is its least member, so a stable sort by root
+    # lists the patches in order of their smallest triangle
+    order = np.argsort(root, kind="stable")
+    r = root[order]
+    cuts = (np.flatnonzero(r[1:] != r[:-1]) + 1).tolist()
+    m = members[order].tolist()
+    return [m[a:b] for a, b in zip([0, *cuts], [*cuts, len(m)])]
 
 
 def patch_planes(mesh, patches, scale):
@@ -549,14 +537,14 @@ def patch_planes(mesh, patches, scale):
         )
     directions /= np.sqrt(row_dots(directions, directions))[:, None]
     offsets = row_dots(directions, centroids)
-    return PlaneSet.from_triplets(snapped_triplets(directions, offsets, scale=scale))
+    return PlaneSet(snapped_triplets(directions, offsets, scale=scale))
 
 
 def translate_planes(code, a):
     """Shift the coded solid by ``a``: directions fixed, h += omega . a."""
     t = code.triplets().copy()
     t[:, 2] += code.normals() @ np.asarray(a, dtype=float)
-    return PlaneSet.from_triplets(t)
+    return PlaneSet(t)
 
 
 def rotate_planes(code, r):

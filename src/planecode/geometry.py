@@ -1,4 +1,4 @@
-"""Oriented planes and the spherical encoding of their normals.
+"""Plane rows, their range check, and the spherical encoding of normals.
 
 A plane is a unit normal plus a signed offset: the point set
 ``{p : omega . p = h}``.  The normal makes it oriented; the closed
@@ -7,10 +7,10 @@ open half-space ahead of it e+.  Normals serialize as two angles
 ``(nu, phi)``: the polar angle from +z in ``[0, pi]`` and the azimuth
 from +x in ``[0, 2*pi)``.
 
-``check_triplets`` holds the one range check: nu in ``[0, pi]``, phi in
-``[0, 2*pi)``, h finite.  The ``SphericalDirection`` and
-``OrientedPlane`` constructors run it on every value they are given;
-``PlaneSet`` runs it once per stored array, and the plane views it
+Stored, a plane is nothing but its ``(nu, phi, h)`` row; lists of
+them live in ``convex.PlaneSet``.  ``check_triplets`` holds the one
+range check: nu in ``[0, pi]``, phi in ``[0, 2*pi)``, h finite.
+``PlaneSet`` runs it once per stored array, and the rows and sets it
 hands out trust that check instead of repeating it.
 
 Rounding contract.  Every batch routine here gives the same bits as the
@@ -23,7 +23,6 @@ elementwise sums do not.  The trigonometry of ``angle_rows`` stays on
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,47 +31,6 @@ from .errors import DegenerateTriangle, NotUnitVector
 EPS_AREA = 1e-12
 EPS_UNIT = 1e-9
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SphericalDirection:
-    """Unit direction as (polar, azimuth) angles in radians.
-
-    ``nu`` is measured from +z and stays in ``[0, pi]``; ``phi`` is the
-    azimuth in ``[0, 2*pi)``.  At the poles ``phi`` carries no
-    information and is fixed to 0 by the conversion functions, so equal
-    directions always compare equal.
-    """
-
-    nu: float
-    phi: float
-
-    def __post_init__(self):
-        check_triplets([(self.nu, self.phi, 0.0)])
-
-
-@dataclass(frozen=True)
-class OrientedPlane:
-    """The pair (direction, h): unit normal and signed origin distance."""
-
-    direction: SphericalDirection
-    h: float
-
-    def __post_init__(self):
-        check_triplets([(0.0, 0.0, self.h)])
-
-    @property
-    def normal(self):
-        return unit_vector_from_spherical(self.direction)
-
-    def signed_distance(self, points):
-        """omega . p - h, vectorized over leading axes of ``points``."""
-        p = np.asarray(points, dtype=float)
-        return p @ self.normal - self.h
-
-    def negated(self):
-        """The same plane with the opposite orientation (omega, h -> -omega, -h)."""
-        return OrientedPlane(spherical_from_unit_vector(-self.normal), -self.h)
 
 
 def check_triplets(triplets):
@@ -138,21 +96,6 @@ def angle_rows(w):
     return np.array(out, dtype=float).reshape(-1, 2)
 
 
-def spherical_angles(w):
-    """(nu, phi) of one unit vector (see angle_rows)."""
-    return tuple(angle_rows(np.asarray(w, dtype=float).reshape(1, 3))[0].tolist())
-
-
-def spherical_from_unit_vector(w):
-    """SphericalDirection of a unit vector (see spherical_angles)."""
-    return SphericalDirection(*spherical_angles(w))
-
-
-def unit_vector_from_spherical(d):
-    s = math.sin(d.nu)
-    return np.array([s * math.cos(d.phi), s * math.sin(d.phi), math.cos(d.nu)])
-
-
 def triangle_planes(p1, p2, p3, eps_area=EPS_AREA):
     """Unit normals and offsets of the planes through triangle corners.
 
@@ -173,26 +116,6 @@ def triangle_planes(p1, p2, p3, eps_area=EPS_AREA):
         )
     normals = c / np.sqrt(nsq)[:, None]
     return normals, np.einsum("ij,ij->i", normals, p1)
-
-
-def plane_from_triangle(p1, p2, p3, eps_area=EPS_AREA):
-    """Oriented plane through three points (see triangle_planes)."""
-    normals, offsets = triangle_planes(p1, p2, p3, eps_area)
-    return OrientedPlane(spherical_from_unit_vector(normals[0]), float(offsets[0]))
-
-
-def plane_from_normal_offset(normal, h):
-    """Plane from a direction vector (any nonzero length) and an offset.
-
-    ``h`` is rescaled together with the normal, so (2n, 2h) and (n, h)
-    name the same plane.
-    """
-    n = np.asarray(normal, dtype=float)
-    ln = math.sqrt(float(n @ n))
-    if not ln > 0.0 or not math.isfinite(ln):
-        raise ValueError("normal must be a finite nonzero vector")
-    n = n / ln
-    return OrientedPlane(spherical_from_unit_vector(n), float(h) / ln)
 
 
 def angle_between(u, v):
@@ -233,7 +156,3 @@ def snapped_triplets(directions, offsets, scale=1.0):
     h[np.abs(h) < SNAP_AXIS * scale] = 0.0
     return np.column_stack([angle_rows(d), h])
 
-
-def snapped_triplet(direction, h, scale=1.0):
-    """The one (nu, phi, h) row of ``snapped_triplets``, as Python floats."""
-    return tuple(snapped_triplets([direction], [h], scale)[0].tolist())

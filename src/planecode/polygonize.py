@@ -34,7 +34,7 @@ from .errors import (
     PartUndecodable,
     WeldMismatch,
 )
-from .geometry import TWO_PI, snapped_triplet
+from .geometry import TWO_PI, snapped_triplets
 from .mesh import EdgeTable, TriangleMesh, fan, weld
 from .segmentation import PartKind, segment_mesh
 
@@ -44,7 +44,7 @@ WELD_REL = 1e-6       # vertex weld radius per unit of decoded bbox diagonal
 
 
 class PolygonFace:
-    """A maximal coplanar patch: its plane and outer vertex ring.
+    """A maximal coplanar patch: its plane's (nu, phi, h) row and outer vertex ring.
 
     The ring is counterclockwise seen from the plane's positive side
     and starts at its smallest vertex index.
@@ -160,7 +160,8 @@ def boundary_planes_for_part(mesh, part, eps=None):
     planes (``_pencil_plane``): the middle of the one arc of its normals
     that keeps the part behind it.  That arc is an intersection of
     half-circles, so it is one arc or none.  Every returned plane keeps
-    all of the part's vertices in its closed negative half-space.
+    all of the part's vertices in its closed negative half-space.  The
+    cuts are snapped together by one ``snapped_triplets`` call.
     """
     diag = mesh.bbox_diagonal()
     if eps is None:
@@ -173,11 +174,12 @@ def boundary_planes_for_part(mesh, part, eps=None):
         normal, centroid, sv = _fit_svd(corners)
         if sv[2] <= EPS_FIT_REL * max(sv[0], 1.0):
             planes.append(
-                _oriented_cut(normal, float(normal @ centroid), part_verts, eps, scale)
+                _oriented_cut(normal, float(normal @ centroid), part_verts, eps)
             )
         else:
             planes.extend(_cut_warped_loop(corners, part_verts, eps, scale))
-    return PlaneSet.from_triplets(planes)
+    offsets = [h for _, h in planes]
+    return PlaneSet(snapped_triplets([n for n, _ in planes], offsets, scale=scale))
 
 
 def _fuse_collinear(points):
@@ -202,12 +204,13 @@ def _fit_svd(points):
     return vt[2], centroid, sv
 
 
-def _oriented_cut(normal, h, part_verts, eps, scale):
+def _oriented_cut(normal, h, part_verts, eps):
+    """(normal, h) turned so the part lies behind it, or BoundaryNotCuttable."""
     d = part_verts @ normal - h
     if (d <= eps).all():
-        return snapped_triplet(normal, h, scale=scale)
+        return normal, h
     if (d >= -eps).all():
-        return snapped_triplet(-normal, -h, scale=scale)
+        return -normal, -h
     raise BoundaryNotCuttable("rim plane does not separate the part")
 
 
@@ -234,7 +237,7 @@ def _cut_warped_loop(corners, part_verts, eps, scale):
                 normal, centroid, _ = _fit_svd(corners[idx])
                 try:
                     plane = _oriented_cut(
-                        normal, float(normal @ centroid), part_verts, eps, scale
+                        normal, float(normal @ centroid), part_verts, eps
                     )
                 except BoundaryNotCuttable:
                     length -= 1
@@ -260,7 +263,7 @@ def _cut_warped_loop(corners, part_verts, eps, scale):
 
 
 def _pencil_plane(p0, p1, part_verts, scale):
-    """Snapped (nu, phi, h) row of a separating plane through the segment p0-p1.
+    """(normal, h) of a separating plane through the segment p0-p1.
 
     Any plane containing the segment's line has normal
     cos(t) u + sin(t) v in the basis (u, v) orthogonal to the line.
@@ -286,7 +289,7 @@ def _pencil_plane(p0, p1, part_verts, scale):
     start, width = arc
     theta = (start + width / 2.0) % TWO_PI
     normal = math.cos(theta) * u + math.sin(theta) * v
-    return snapped_triplet(normal, float(normal @ p0), scale=scale)
+    return normal, float(normal @ p0)
 
 
 def _free_arc(centers):

@@ -26,7 +26,7 @@ import heapq
 import numpy as np
 
 from .errors import InconsistentOrientation, NonManifold
-from .geometry import plane_from_triangle
+from .geometry import triangle_planes
 
 EPS_ORIENT_REL = 1e-7  # six-vertex test slack per unit of bbox diagonal
 
@@ -62,19 +62,23 @@ def _corners(mesh, t):
     return mesh.vertices[np.asarray(t, dtype=np.int64)]
 
 
-def mutual_orientation(mesh, t1, t2, eps=0.0):
+def mutual_orientation(mesh, t1, t2, eps=None):
     """Classify a triangle pair as POSITIVE, NEGATIVE, or MIXED.
 
     ``t1`` and ``t2`` may be triangle indices or vertex-index triples.
-    Coplanar pairs come out POSITIVE because both closed-half-space
-    conditions hold and the positive test runs first.
+    Each triangle's corners are tested against the other's plane with
+    slack ``eps``, by default ``segment_mesh``'s EPS_ORIENT_REL times
+    the bounding-box diagonal, so rounding cannot split a coplanar
+    pair.  Coplanar pairs come out POSITIVE because both
+    closed-half-space conditions hold and the positive test runs first.
     """
+    if eps is None:
+        eps = EPS_ORIENT_REL * mesh.bbox_diagonal()
     a = _corners(mesh, t1)
     b = _corners(mesh, t2)
-    pa = plane_from_triangle(a[0], a[1], a[2])
-    pb = plane_from_triangle(b[0], b[1], b[2])
-    d_ab = pa.signed_distance(b)
-    d_ba = pb.signed_distance(a)
+    normals, offsets = triangle_planes(*np.stack([a, b], axis=1))
+    d_ab = b @ normals[0] - offsets[0]
+    d_ba = a @ normals[1] - offsets[1]
     if (d_ab <= eps).all() and (d_ba <= eps).all():
         return MutualOrientation.POSITIVE
     if (d_ab >= -eps).all() and (d_ba >= -eps).all():

@@ -9,7 +9,7 @@ convex shell quads before any concave feature quads.
 import numpy as np
 
 from .convex import PlaneSet
-from .geometry import plane_from_normal_offset
+from .geometry import row_dots
 from .mesh import TriangleMesh
 
 
@@ -194,26 +194,23 @@ def random_hull_mesh(rng, n_points):
 def ngon_prism_code(n):
     """Plane code of a regular n-gon prism (circumradius 1, height 2)."""
     apothem = np.cos(np.pi / n)
-    planes = []
+    normals = []
     for k in range(n):
         t = 2.0 * np.pi * k / n
-        planes.append(
-            plane_from_normal_offset((np.cos(t), np.sin(t), 0.0), apothem)
-        )
-    planes.append(plane_from_normal_offset((0.0, 0.0, 1.0), 1.0))
-    planes.append(plane_from_normal_offset((0.0, 0.0, -1.0), 1.0))
-    return PlaneSet(planes)
+        normals.append((np.cos(t), np.sin(t), 0.0))
+    normals += [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+    return _plane_code(normals, [apothem] * n + [1.0, 1.0])
 
 
 def chamfered_cube_code(t=0.03):
     """Unit cube code plus one corner plane cutting off a sliver of leg ``t``."""
-    planes = [
-        plane_from_normal_offset((1, 0, 0), 1.0),
-        plane_from_normal_offset((-1, 0, 0), 0.0),
-        plane_from_normal_offset((0, 1, 0), 1.0),
-        plane_from_normal_offset((0, -1, 0), 0.0),
-        plane_from_normal_offset((0, 0, 1), 1.0),
-        plane_from_normal_offset((0, 0, -1), 0.0),
-        plane_from_normal_offset((1, 1, 1), 3.0 - t),
-    ]
-    return PlaneSet(planes)
+    normals = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    normals.append((1, 1, 1))
+    return _plane_code(normals, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 3.0 - t])
+
+
+def _plane_code(normals, offsets):
+    """PlaneSet of nonzero direction vectors, each offset scaled with its normal."""
+    n = np.array(normals, dtype=float)
+    ln = np.sqrt(row_dots(n, n))
+    return PlaneSet.from_normals(n / ln[:, None], np.array(offsets, dtype=float) / ln)

@@ -237,7 +237,7 @@ def _merge_with_metrics(planes, areas, centroids, adjacency, params):
     scale = max(1.0, float(np.abs(np.asarray(centroids)).max(initial=0.0)))
     rows = planes.triplets()[first]
     rows[merged] = snapped_triplets(direction, row_dots(direction, centroid), scale=scale)
-    return PlaneSet.from_triplets(rows)
+    return PlaneSet(rows)
 
 
 def _screen_angle(a, b):

@@ -15,17 +15,14 @@ import pytest
 
 from planecode import (
     CodeFormatError,
-    OrientedPlane,
     PartCode,
     PlaneSet,
     SegmentedCode,
-    SphericalDirection,
     boundary_planes_for_part,
     decode_convex,
     decode_segmented,
     encode_convex,
     encode_segmented,
-    plane_from_triangle,
     polygonize_part,
     read_code,
     rotate_planes,
@@ -37,6 +34,7 @@ from planecode import (
     translate_planes,
     write_code,
 )
+from planecode.geometry import triangle_planes
 from planecode.mesh_io import count_coplanar_patches
 from planecode.segmentation import PartKind
 
@@ -127,20 +125,13 @@ def test_coding_commutes_with_rotation():
 
 def _pairwise_kind_holds(mesh, part, eps):
     """Check the part label against every triangle pair, no shortcuts."""
-    tris = list(part.triangles)
-    corners = [mesh.vertices[mesh.triangles[t]] for t in tris]
-    planes = [plane_from_triangle(c[0], c[1], c[2]) for c in corners]
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            d_ij = planes[i].signed_distance(np.asarray(corners[j]))
-            d_ji = planes[j].signed_distance(np.asarray(corners[i]))
-            if part.kind is PartKind.PSEUDO_CONVEX:
-                if not ((d_ij <= eps).all() and (d_ji <= eps).all()):
-                    return False
-            else:
-                if not ((d_ij >= -eps).all() and (d_ji >= -eps).all()):
-                    return False
-    return True
+    corners = mesh.vertices[mesh.triangles[part.triangles]]
+    normals, offsets = triangle_planes(corners[:, 0], corners[:, 1], corners[:, 2])
+    # d[i, j, c]: corner c of triangle j against the plane of triangle i
+    d = np.einsum("ik,jck->ijc", normals, corners) - offsets[:, None, None]
+    if part.kind is PartKind.PSEUDO_CONVEX:
+        return bool((d <= eps).all())
+    return bool((d >= -eps).all())
 
 
 def test_every_part_passes_the_brute_force_pair_check():
@@ -195,7 +186,7 @@ def test_lossy_passes_hold_their_thresholds():
 
     prism = shapes.ngon_prism_code(32)
     merged = simplify_code(prism, SimplifyParams(tau=np.radians(15.0)))
-    sides = lambda code: sum(1 for p in code if 1e-9 < p.direction.nu < np.pi - 1e-9)
+    sides = lambda code: sum(1 for nu, _, _ in code if 1e-9 < nu < np.pi - 1e-9)
     assert sides(merged) < sides(prism)
     v_in = decode_convex(prism).to_mesh().volume()
     v_out = decode_convex(merged).to_mesh().volume()
@@ -212,9 +203,7 @@ def _random_code(rng):
                 nu = float(rng.choice([0.0, np.pi]))
             if rng.random() < 0.1:
                 phi = float(np.nextafter(2 * np.pi, 0.0))
-            out.append(
-                OrientedPlane(SphericalDirection(nu, phi), float(rng.normal() * 10.0))
-            )
+            out.append((nu, phi, float(rng.normal() * 10.0)))
         return PlaneSet(out)
 
     if rng.random() < 0.3:

@@ -11,10 +11,8 @@ from planecode import (
     AngleOutOfRange,
     BadMagic,
     CodeFormatError,
-    OrientedPlane,
     PlaneSet,
     SegmentedCode,
-    SphericalDirection,
     TruncatedPayload,
     UnsupportedVersion,
     encode_convex,
@@ -54,7 +52,7 @@ def test_records_hold_float32_values_at_most_one_ulp_below_the_input(cube_mesh):
     code = encode_convex(cube_mesh).sorted_canonical()
     raw = np.frombuffer(CUBE_PLNC[10:], dtype="<f4").reshape(6, 3)
     for row, plane in zip(raw, code):
-        for got, x in zip(row, (plane.direction.nu, plane.direction.phi, plane.h)):
+        for got, x in zip(row, plane):
             f = np.float32(x)
             assert got == f or got == np.nextafter(f, np.float32(0.0))
     assert (raw[:, 0] >= 0).all() and (raw[:, 0] <= np.pi).all()
@@ -86,16 +84,11 @@ def test_write_read_write_is_byte_stable(staircase_mesh):
 
 
 def test_read_back_angles_stay_in_range_at_the_edges():
-    edge = PlaneSet(
-        [
-            OrientedPlane(SphericalDirection(np.pi, 0.0), -1.0),
-            OrientedPlane(SphericalDirection(1.0, float(np.nextafter(2 * np.pi, 0))), 0.5),
-        ]
-    )
+    edge = PlaneSet([(np.pi, 0.0, -1.0), (1.0, float(np.nextafter(2 * np.pi, 0)), 0.5)])
     blob = write_code(edge)
     back = read_code(blob)
-    assert back[0].direction.nu <= np.pi
-    assert back[1].direction.phi < 2 * np.pi
+    assert back[0][0] <= np.pi
+    assert back[1][1] < 2 * np.pi
     assert write_code(back) == blob
 
 

@@ -17,7 +17,6 @@ from planecode import (
     check_rotation,
     decode_convex,
     encode_convex,
-    plane_from_normal_offset,
     rotate_planes,
     translate_planes,
 )
@@ -25,6 +24,7 @@ from planecode import shapes
 from conftest import quaternion_rotation, seeded_hulls
 
 DEG = 180.0 / math.pi
+AXES = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
 CUBE_TABLE = [
     (0.0, 0.0, 1.0),
@@ -37,23 +37,11 @@ CUBE_TABLE = [
 
 
 def degree_rows(code):
-    return [
-        (round(p.direction.nu * DEG, 9), round(p.direction.phi * DEG, 9), p.h)
-        for p in code
-    ]
+    return [(round(nu * DEG, 9), round(phi * DEG, 9), h) for nu, phi, h in code]
 
 
 def box_code(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
-    return PlaneSet(
-        [
-            plane_from_normal_offset((1, 0, 0), hi[0]),
-            plane_from_normal_offset((-1, 0, 0), -lo[0]),
-            plane_from_normal_offset((0, 1, 0), hi[1]),
-            plane_from_normal_offset((0, -1, 0), -lo[1]),
-            plane_from_normal_offset((0, 0, 1), hi[2]),
-            plane_from_normal_offset((0, 0, -1), -lo[2]),
-        ]
-    )
+    return PlaneSet.from_normals(AXES, [hi[0], -lo[0], hi[1], -lo[1], hi[2], -lo[2]])
 
 
 def test_cube_code_matches_the_degree_table(cube_mesh):
@@ -90,7 +78,7 @@ def test_decoded_rings_wind_counterclockwise(cube_mesh):
     for ring, idx in zip(poly.faces, poly.face_planes):
         pts = poly.vertices[np.asarray(ring)]
         n = np.cross(pts[1] - pts[0], pts[2] - pts[1])
-        assert n @ poly.planes[idx].normal > 0
+        assert n @ poly.planes.normals()[idx] > 0
         assert ring[0] == min(ring)
 
 
@@ -102,7 +90,7 @@ def test_decoded_mesh_is_watertight(cube_mesh):
 
 
 def test_redundant_planes_are_reported_not_fatal():
-    planes = list(box_code()) + [plane_from_normal_offset((1, 0, 0), 50.0)]
+    planes = list(box_code()) + list(PlaneSet.from_normals([(1, 0, 0)], [50.0]))
     poly = decode_convex(PlaneSet(planes))
     assert poly.redundant_planes == [6]
     assert len(poly.faces) == 6
@@ -123,20 +111,15 @@ def test_decode_needs_at_least_four_planes():
 
 
 def test_decode_rejects_unbounded_slab():
-    planes = PlaneSet(
-        [
-            plane_from_normal_offset((0, 0, 1), 1.0),
-            plane_from_normal_offset((0, 0, -1), 0.0),
-            plane_from_normal_offset((1, 0, 0), 1.0),
-            plane_from_normal_offset((-1, 0, 0), 0.0),
-        ]
+    planes = PlaneSet.from_normals(
+        [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0)], [1.0, 0.0, 1.0, 0.0]
     )
     with pytest.raises(UnboundedRegion):
         decode_convex(planes)
 
 
 def test_decode_rejects_empty_region():
-    planes = list(box_code()) + [plane_from_normal_offset((-1, 0, 0), -5.0)]
+    planes = list(box_code()) + list(PlaneSet.from_normals([(-1, 0, 0)], [-5.0]))
     with pytest.raises(EmptyRegion):
         decode_convex(PlaneSet(planes))
 
@@ -168,9 +151,9 @@ def test_translate_shifts_offsets_by_the_normal_component(cube_mesh):
     code = encode_convex(cube_mesh)
     a = np.array([2.0, -3.0, 0.5])
     moved = translate_planes(code, a)
-    for p, q in zip(code, moved):
-        assert q.direction == p.direction
-        assert q.h == pytest.approx(p.h + p.normal @ a, abs=1e-12)
+    for (nu, phi, h), q, w in zip(code, moved, code.normals()):
+        assert q[:2] == (nu, phi)
+        assert q[2] == pytest.approx(h + w @ a, abs=1e-12)
 
 
 @given(

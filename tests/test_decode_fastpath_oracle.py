@@ -223,11 +223,11 @@ def test_exact_duplicate_planes_match_the_oracle_bit_for_bit():
     prism = shapes.ngon_prism_code(9).triplets()
     codes.append(np.vstack([prism, prism[::-1]]))
     for rows in codes:
-        code = PlaneSet.from_triplets(rows)
+        code = PlaneSet(rows)
         out = assert_same_decode(code)
         assert len(out[3]) == len(rows), "every copy carries its plane's face"
     # a -0.0 offset shares its first copy's ring, not a ring of its own
-    poly = decode_convex(PlaneSet.from_triplets(np.vstack([cube, signed])))
+    poly = decode_convex(PlaneSet(np.vstack([cube, signed])))
     assert poly.faces[-1] == poly.faces[zero_h]
 
 
@@ -236,9 +236,9 @@ def test_errors_match_the_oracle():
     flat = cube.copy()
     flat[0, 2] = -1e-12  # opposite faces x <= -1e-12 and -x <= 0: empty
     codes = [
-        PlaneSet.from_triplets(cube[:3]),
-        PlaneSet.from_triplets(cube[[0, 2, 4, 6]]),
-        PlaneSet.from_triplets(flat),
+        PlaneSet(cube[:3]),
+        PlaneSet(cube[[0, 2, 4, 6]]),
+        PlaneSet(flat),
     ]
     for code in codes:
         out = assert_same_decode(code)

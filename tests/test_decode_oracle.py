@@ -15,13 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from planecode import (
-    EmptyRegion,
-    PlaneSet,
-    decode_convex,
-    encode_convex,
-    plane_from_normal_offset,
-)
+from planecode import EmptyRegion, PlaneSet, decode_convex, encode_convex
 from planecode import shapes
 from planecode.convex import ConvexPolyhedron
 
@@ -114,14 +108,8 @@ def brute_force_decode(code):
 
 
 def box_code():
-    return [
-        plane_from_normal_offset((1, 0, 0), 1.0),
-        plane_from_normal_offset((-1, 0, 0), 0.0),
-        plane_from_normal_offset((0, 1, 0), 1.0),
-        plane_from_normal_offset((0, -1, 0), 0.0),
-        plane_from_normal_offset((0, 0, 1), 1.0),
-        plane_from_normal_offset((0, 0, -1), 0.0),
-    ]
+    axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    return list(PlaneSet.from_normals(axes, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]))
 
 
 def assert_matches_oracle(code, bitwise=False):
@@ -163,7 +151,7 @@ def test_chamfered_cubes_match_the_oracle(t):
 
 
 def test_box_with_a_redundant_plane_matches_the_oracle():
-    code = PlaneSet(box_code() + [plane_from_normal_offset((1, 0, 0), 50.0)])
+    code = PlaneSet(box_code() + list(PlaneSet.from_normals([(1, 0, 0)], [50.0])))
     assert_matches_oracle(code, bitwise=True)
     assert decode_convex(code).redundant_planes == [6]
 
@@ -179,6 +167,6 @@ def test_cube_with_a_duplicated_plane_matches_the_oracle(cube_mesh):
 
 def test_zero_thickness_slab_is_empty():
     planes = box_code()
-    planes[4] = plane_from_normal_offset((0, 0, 1), 0.0)
+    planes[4] = PlaneSet.from_normals([(0, 0, 1)], [0.0])[0]
     with pytest.raises(EmptyRegion):
         decode_convex(PlaneSet(planes))

@@ -54,7 +54,7 @@ def notched_box_code_with_a_repeat():
     """encode_segmented(notched_box) with part 0's first face plane repeated."""
     code = encode_segmented(shapes.notched_box())
     part = code.parts[0]
-    faces = PlaneSet.from_triplets(
+    faces = PlaneSet(
         np.vstack([part.face_planes.triplets(), part.face_planes.triplets()[:1]])
     )
     return SegmentedCode(

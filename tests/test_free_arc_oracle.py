@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import planecode.polygonize
 from planecode import segment_mesh
 from planecode.errors import BoundaryNotCuttable, GeometryError
-from planecode.geometry import TWO_PI, snapped_triplet
+from planecode.geometry import TWO_PI
 from planecode.polygonize import _free_arc, boundary_planes_for_part
 
 from test_segment_oracle import GRID_FIXTURES, grid_cut, via_float32_stl
@@ -69,7 +69,11 @@ def sweep_choice(centers):
 
 
 def sweep_pencil_plane(p0, p1, part_verts, diag):
-    """The earlier ``_pencil_plane``, choosing from ``sweep_free_arcs``."""
+    """The earlier ``_pencil_plane``, choosing from ``sweep_free_arcs``.
+
+    It returns the unsnapped ``(normal, h)``, as ``_pencil_plane`` does:
+    ``boundary_planes_for_part`` snaps every cut of a part at once.
+    """
     d = p1 - p0
     d = d / np.linalg.norm(d)
     axis = np.zeros(3)
@@ -88,7 +92,7 @@ def sweep_pencil_plane(p0, p1, part_verts, diag):
     start, width = min(arcs, key=lambda g: (-g[1], g[0]))
     theta = (start + width / 2.0) % TWO_PI
     normal = math.cos(theta) * u + math.sin(theta) * v
-    return snapped_triplet(normal, float(normal @ p0), scale=max(1.0, diag))
+    return normal, float(normal @ p0)
 
 
 def bits(arc):

@@ -26,11 +26,12 @@ from planecode import (
     rotate_planes,
     shapes,
 )
-from planecode.geometry import angle_between, snapped_triplet
+from planecode.geometry import angle_between
 from planecode.polygonize import decode_part
 from planecode.simplify import _face_adjacency, _face_measurements, _merge_with_metrics
 
 from conftest import quaternion_rotation
+from test_plane_batch_oracle import oracle_snapped_row
 
 
 def oracle_merge_with_metrics(planes, areas, centroids, adjacency, params):
@@ -86,8 +87,8 @@ def oracle_merge_with_metrics(planes, areas, centroids, adjacency, params):
         direction = dir_sum[root] / np.linalg.norm(dir_sum[root])
         centroid = cen_sum[root] / area_sum[root]
         h = float(direction @ centroid)
-        rows.append(snapped_triplet(direction, h, scale=scale))
-    return PlaneSet.from_triplets(rows)
+        rows.append(oracle_snapped_row(direction, h, scale=scale))
+    return PlaneSet(rows)
 
 
 def oracle_face_measurements(poly, n_planes):
@@ -141,7 +142,7 @@ def decoded_polys():
         yield code, decode_convex(code)
     for make in (shapes.notched_box, shapes.l_prism, shapes.two_notch_box):
         for i, part in enumerate(encode_segmented(make()).parts):
-            planes = PlaneSet.from_triplets(np.vstack(
+            planes = PlaneSet(np.vstack(
                 [part.face_planes.triplets(), part.boundary_planes.triplets()]))
             yield planes, decode_part(part, i)
 

@@ -1,9 +1,9 @@
 """Batched face planes against the per-row code they replaced.
 
-The oracles below are the earlier ``spherical_angles``,
-``snapped_triplet``, ``patch_planes`` (one patch at a time),
-``PlaneSet.from_normals`` (one row at a time) and ``rotate_planes``,
-kept verbatim.  The library now builds every angle row through
+The oracles below are the earlier one-row angle and snap routines
+(``oracle_angles``, ``oracle_snapped_row``), ``patch_planes`` (one
+patch at a time), ``PlaneSet.from_normals`` (one row at a time) and
+``rotate_planes``, kept verbatim.  The library now builds every angle row through
 ``geometry.angle_rows`` and ``geometry.snapped_triplets`` and sums
 patches of one size together; every float64 triplet must equal the
 oracle's bit for bit, signed zeros included, and a normal that is not
@@ -25,20 +25,13 @@ from planecode import (
 )
 from planecode.convex import EPS_CONVEX_REL, check_rotation, coplanar_patches, patch_planes
 from planecode.errors import NotUnitVector
-from planecode.geometry import (
-    EPS_UNIT,
-    SNAP_AXIS,
-    TWO_PI,
-    snapped_triplet,
-    snapped_triplets,
-    spherical_angles,
-)
+from planecode.geometry import EPS_UNIT, SNAP_AXIS, TWO_PI, angle_rows, snapped_triplets
 
 from conftest import quaternion_rotation
 from test_segment_oracle import GRID_FIXTURES, grid_cut, via_float32_stl
 
 
-def oracle_spherical_angles(w):
+def oracle_angles(w):
     w = np.asarray(w, dtype=float)
     n = math.sqrt(float(w @ w))
     if abs(n - 1.0) > EPS_UNIT:
@@ -53,14 +46,14 @@ def oracle_spherical_angles(w):
     return nu, phi
 
 
-def oracle_snapped_triplet(direction, h, scale=1.0):
+def oracle_snapped_row(direction, h, scale=1.0):
     d = np.asarray(direction, dtype=float).copy()
     d[np.abs(d) < SNAP_AXIS] = 0.0
     d /= math.sqrt(float(d @ d))
     h = float(h)
     if abs(h) < SNAP_AXIS * scale:
         h = 0.0
-    return oracle_spherical_angles(d) + (h,)
+    return oracle_angles(d) + (h,)
 
 
 def oracle_patch_planes(mesh, patches, scale):
@@ -74,16 +67,16 @@ def oracle_patch_planes(mesh, patches, scale):
         direction = cross[g].sum(axis=0)
         direction /= np.linalg.norm(direction)
         centroid = (centers[g] * areas[g, None]).sum(axis=0) / areas[g].sum()
-        out.append(oracle_snapped_triplet(direction, float(direction @ centroid), scale=scale))
-    return PlaneSet.from_triplets(out)
+        out.append(oracle_snapped_row(direction, float(direction @ centroid), scale=scale))
+    return PlaneSet(out)
 
 
 def oracle_from_normals(normals, offsets):
     rows = [
-        oracle_spherical_angles(w) + (float(h),)
+        oracle_angles(w) + (float(h),)
         for w, h in zip(np.asarray(normals, dtype=float), offsets)
     ]
-    return PlaneSet.from_triplets(rows)
+    return PlaneSet(rows)
 
 
 def oracle_rotate_planes(code, r):
@@ -145,7 +138,7 @@ def test_patch_planes_match_the_oracle_on_convex_meshes():
         assert same_bits(got, oracle_patch_planes(mesh, patches, scale).triplets()), name
         # encode_convex is these rows in canonical order
         assert same_bits(encode_convex(mesh).triplets(),
-                         PlaneSet.from_triplets(got).sorted_canonical().triplets()), name
+                         PlaneSet(got).sorted_canonical().triplets()), name
     # past numpy's 8- and 128-element pairwise-sum blocks
     assert largest > 128
 
@@ -164,8 +157,7 @@ def test_part_planes_match_the_oracle(name, g):
         want = oracle_patch_planes(mesh, patches, max(1.0, diag)).triplets()
         assert same_bits(got, want)
         faces = polygonize_part(mesh, part)
-        rows = [(f.plane.direction.nu, f.plane.direction.phi, f.plane.h) for f in faces]
-        assert same_bits(rows, want)
+        assert same_bits([f.plane for f in faces], want)
 
 
 def test_no_patches_give_no_planes():
@@ -190,21 +182,19 @@ def test_snapped_triplets_match_the_one_row_oracle(scale):
     d = noisy_directions(rng, 2000)
     h = rng.standard_normal(2000) * rng.choice([1e-14, 1e-10, 1.0, 1e4], 2000)
     h[::7] = -0.0
-    want = [oracle_snapped_triplet(di, hi, scale) for di, hi in zip(d, h)]
+    want = [oracle_snapped_row(di, hi, scale) for di, hi in zip(d, h)]
     got = snapped_triplets(d, h, scale)
     assert same_bits(got, want)
-    for di, hi, row in zip(d[:50], h[:50], want):
-        one = snapped_triplet(di, hi, scale)
-        assert all(type(x) is float for x in one)
-        assert same_bits(one, row)
+    # a row snapped on its own rounds as it does in the batch
+    for k in range(50):
+        assert same_bits(snapped_triplets(d[k:k + 1], h[k:k + 1], scale), want[k:k + 1])
 
 
-def test_spherical_angles_match_the_oracle():
+def test_angle_rows_match_the_oracle():
     rng = np.random.default_rng(5)
     w = noisy_directions(rng, 500)
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    for row in w:
-        assert same_bits(spherical_angles(row), oracle_spherical_angles(row))
+    assert same_bits(angle_rows(w), [oracle_angles(row) for row in w])
 
 
 def test_from_normals_matches_the_per_row_oracle():
@@ -234,5 +224,5 @@ def test_a_non_unit_normal_raises_the_oracle_text(row, stretch):
         PlaneSet.from_normals(w, np.ones(10))
     assert str(got.value) == str(want.value)
     with pytest.raises(NotUnitVector) as one:
-        spherical_angles(w[row])
+        angle_rows(w[row:row + 1])
     assert str(one.value) == str(want.value)

@@ -1,4 +1,4 @@
-"""Array paths against their scalar references: PlaneSet views, rigid
+"""Array paths against their scalar references: PlaneSet rows, rigid
 motions, per-triangle planes and the vertex weld."""
 
 import math
@@ -6,14 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from planecode import (
-    OrientedPlane,
-    PlaneSet,
-    SphericalDirection,
-    encode_convex,
-    rotate_planes,
-    translate_planes,
-)
+from planecode import PlaneSet, encode_convex, rotate_planes, translate_planes
 from planecode.geometry import SNAP_AXIS, TWO_PI, triangle_planes
 from planecode.mesh import weld
 
@@ -31,25 +24,33 @@ def test_array_constructor_rejects_out_of_range_rows():
     ]
     for row in bad_rows:
         with pytest.raises(ValueError):
-            PlaneSet.from_triplets([(1.0, 1.0, 1.0), row])
+            PlaneSet([(1.0, 1.0, 1.0), row])
 
 
 def test_arrays_match_the_scalar_views_bit_for_bit():
-    poles_and_wrap = PlaneSet.from_triplets(
+    poles_and_wrap = PlaneSet(
         [(0.0, 0.0, 1.0), (math.pi, 0.0, -2.0), (1.0, np.nextafter(TWO_PI, 0.0), 0.5)]
     )
     for code in [poles_and_wrap] + [encode_convex(hull) for hull in seeded_hulls(5, 4)]:
-        # the views skip the range check; the checked constructors agree
-        assert list(code) == [
-            OrientedPlane(SphericalDirection(nu, phi), h) for nu, phi, h in code.triplets().tolist()
-        ]
-        assert np.array_equal(code.normals(), [p.normal for p in code])
-        assert list(code.offsets()) == [p.h for p in code]
-        flipped = [p.negated() for p in code]
+        # integers and iteration give each row as a tuple of Python floats
+        rows = [tuple(row) for row in code.triplets().tolist()]
+        assert list(code) == rows
+        assert [code[i] for i in range(len(code))] == rows
+        assert all(type(x) is float for row in code for x in row)
+        assert np.array_equal(code.normals(), [_unit_vector(nu, phi) for nu, phi, _ in code])
+        assert list(code.offsets()) == [h for _, _, h in code]
+        w, h = code.normals(), code.offsets()
+        flipped = [PlaneSet.from_normals(-w[i:i + 1], -h[i:i + 1])[0] for i in range(len(code))]
         assert list(code.negated()) == flipped
         assert list(PlaneSet(flipped).triplets().ravel()) == list(
             code.negated().triplets().ravel()
         )
+
+
+def _unit_vector(nu, phi):
+    """Reference: the unit normal of one row, on Python floats."""
+    s = math.sin(nu)
+    return [s * math.cos(phi), s * math.sin(phi), math.cos(nu)]
 
 
 def test_mask_indexing_keeps_order():
@@ -74,7 +75,7 @@ def test_taken_rows_reuse_the_normals_a_new_set_would_compute():
     taken = [code[i] for i in picks]
     taken.append(PlaneSet.concatenate([code[::2], code.negated(), code[:0]]))
     for sub in taken:
-        fresh = PlaneSet.from_triplets(sub.triplets())
+        fresh = PlaneSet(sub.triplets())
         assert sub.triplets().tobytes() == fresh.triplets().tobytes()
         assert sub.normals().tobytes() == fresh.normals().tobytes()
         assert not sub.triplets().flags.writeable
@@ -89,8 +90,8 @@ def test_taken_rows_reuse_the_normals_a_new_set_would_compute():
 def _rotated_normals_loop(code, r):
     """Reference: one plane at a time, snapped and renormalized."""
     out = []
-    for p in code:
-        w = r @ p.normal
+    for normal in code.normals():
+        w = r @ normal
         w[np.abs(w) < SNAP_AXIS] = 0.0
         out.append(w / np.linalg.norm(w))
     return np.array(out)
@@ -105,9 +106,9 @@ def test_rigid_motions_match_the_per_plane_loop():
         rotated = rotate_planes(code, r)
         want = _rotated_normals_loop(code, r)
         assert np.abs(rotated.normals() - want).max() <= 1e-14
-        assert list(rotated.offsets()) == [p.h for p in code]
+        assert list(rotated.offsets()) == [h for _, _, h in code]
         moved = translate_planes(code, a)
-        want_h = [p.h + float(p.normal @ a) for p in code]
+        want_h = [h + float(w @ a) for w, h in zip(code.normals(), code.offsets())]
         assert np.abs(moved.offsets() - want_h).max() <= 1e-14 * max(1.0, np.abs(a).max())
         assert np.array_equal(moved.normals(), code.normals())
 

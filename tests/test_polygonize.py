@@ -42,7 +42,12 @@ CUBE_FACE_TRIPLETS = np.array(
 
 
 def face_triplets(faces):
-    return np.array(sorted((f.plane.direction.nu, f.plane.direction.phi, f.plane.h) for f in faces))
+    return np.array(sorted(f.plane for f in faces))
+
+
+def signed_distances(planes, points):
+    """(points, planes) array of omega . p - h."""
+    return points @ planes.normals().T - planes.offsets()
 
 
 def annulus_mesh():
@@ -73,7 +78,7 @@ def test_face_rings_are_ccw_and_start_at_the_smallest_index(cube_mesh):
             nrm = np.zeros(3)
             for k in range(len(ring)):
                 nrm += np.cross(ring[k], ring[(k + 1) % len(ring)])
-            assert float(nrm @ face.plane.normal) > 0.0
+            assert float(nrm @ PlaneSet([face.plane]).normals()[0]) > 0.0
             assert face.boundary[0] == min(face.boundary)
 
 
@@ -84,10 +89,18 @@ def test_open_box_keeps_five_faces_and_gets_one_cap_plane():
     assert len(faces) == 5
     caps = boundary_planes_for_part(mesh, part)
     assert len(caps) == 1
-    (cap,) = caps
-    assert abs(cap.direction.nu) < EPS
-    assert abs(cap.direction.phi) < EPS
-    assert abs(cap.h - 1.0) < EPS
+    ((nu, phi, h),) = caps
+    assert abs(nu) < EPS
+    assert abs(phi) < EPS
+    assert abs(h - 1.0) < EPS
+
+
+def test_a_closed_part_gets_an_empty_plane_set(cube_mesh):
+    (part,) = segment_mesh(cube_mesh)
+    cuts = boundary_planes_for_part(cube_mesh, part)
+    assert isinstance(cuts, PlaneSet)
+    assert cuts.triplets().shape == cuts.normals().shape == (0, 3)
+    assert list(cuts) == []
 
 
 def test_l_prism_parts_get_one_diagonal_cut_each():
@@ -99,10 +112,10 @@ def test_l_prism_parts_get_one_diagonal_cut_each():
         assert len(polygonize_part(mesh, part)) == 5
         planes = boundary_planes_for_part(mesh, part)
         assert len(planes) == 1
-        cuts.append(planes[0])
+        cuts.append(planes)
         verts = mesh.vertices[np.unique(mesh.triangles[np.array(part.triangles)])]
-        assert planes[0].signed_distance(verts).max() <= 1e-9
-    got = np.array(sorted((c.direction.nu, c.direction.phi, c.h) for c in cuts))
+        assert signed_distances(planes, verts).max() <= 1e-9
+    got = np.array(sorted(c[0] for c in cuts))
     want = np.array([(np.pi / 4, np.pi, 0.0), (3 * np.pi / 4, 0.0, 0.0)])
     assert np.abs(got - want).max() < EPS
     # the two cuts slice the same chord from opposite sides, so each one
@@ -111,7 +124,7 @@ def test_l_prism_parts_get_one_diagonal_cut_each():
     for k, cut in enumerate(cuts):
         part = parts[other[k]]
         verts = mesh.vertices[np.unique(mesh.triangles[np.array(part.triangles)])]
-        assert cut.signed_distance(verts).max() > 0.1
+        assert signed_distances(cut, verts).max() > 0.1
 
 
 def test_staircase_parts_carry_four_cut_planes_each(staircase_mesh):
@@ -127,8 +140,8 @@ def test_boundary_planes_keep_their_part_in_the_negative_half_space(name):
     eps = 1e-7 * mesh.bbox_diagonal()
     for part in segment_mesh(mesh):
         verts = mesh.vertices[np.unique(mesh.triangles[np.array(part.triangles)])]
-        for plane in boundary_planes_for_part(mesh, part):
-            assert plane.signed_distance(verts).max() <= eps
+        planes = boundary_planes_for_part(mesh, part)
+        assert (signed_distances(planes, verts) <= eps).all()
 
 
 def test_flat_patch_with_a_hole_is_rejected():

@@ -37,9 +37,8 @@ def fold_strip():
     return TriangleMesh(verts, tris)
 
 
-# the plane normal is rebuilt from its stored angles, which leaves
-# ~1e-16 dust on vertices that sit exactly on the plane; a small eps
-# absorbs it (eps=0 would call a touching pair MIXED)
+# a computed plane leaves ~1e-16 dust on vertices that sit exactly on
+# it; a small eps absorbs it (eps=0 would call a touching pair MIXED)
 EPS = 1e-12
 
 
@@ -68,6 +67,28 @@ def test_orientation_accepts_vertex_triples():
     m = fold_strip()
     got = mutual_orientation(m, (0, 1, 2), (0, 2, 3), eps=EPS)
     assert got is MutualOrientation.POSITIVE
+
+
+def test_default_slack_calls_every_cube_pair_positive():
+    m = shapes.cube()
+    n = len(m.triangles)
+    kinds = {mutual_orientation(m, i, j) for i in range(n) for j in range(i + 1, n)}
+    assert kinds == {MutualOrientation.POSITIVE}
+
+
+@pytest.mark.parametrize("name", ["notched_box", "l_prism", "two_notch_box", "cube"])
+def test_segment_parts_agree_with_the_default_pair_test(name):
+    m = getattr(shapes, name)()
+    for part in segment_mesh(m):
+        tris = sorted(part.triangles)
+        kinds = {
+            mutual_orientation(m, a, b)
+            for k, a in enumerate(tris)
+            for b in tris[k + 1:]
+        }
+        assert MutualOrientation.MIXED not in kinds
+        if part.kind is PartKind.PSEUDO_CONVEX:
+            assert kinds <= {MutualOrientation.POSITIVE}
 
 
 def test_strip_ends_in_singletons():

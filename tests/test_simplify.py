@@ -17,7 +17,6 @@ from planecode import (
     decode_segmented,
     encode_convex,
     encode_segmented,
-    plane_from_normal_offset,
     read_code,
     shapes,
     simplify_code,
@@ -40,6 +39,10 @@ CUBE_TRIPLETS = np.array(
 )
 
 
+# a redundant plane beyond the unit cube's +x face
+FAR_X_PLANE = PlaneSet.from_normals([(1, 0, 0)], [2.0])
+
+
 def sorted_triplets(planes):
     return np.array(sorted(tuple(r) for r in planes.sorted_canonical().triplets()))
 
@@ -47,13 +50,10 @@ def sorted_triplets(planes):
 def thin_hex_prism():
     """Hexagonal cross-section 0.01 wide but 2 long: tiny caps, big sides."""
     apothem = 0.01 * np.cos(np.pi / 6)
-    planes = [
-        plane_from_normal_offset((np.cos(a), np.sin(a), 0.0), apothem)
-        for a in 2 * np.pi * np.arange(6) / 6
-    ]
-    planes.append(plane_from_normal_offset((0, 0, 1), 1.0))
-    planes.append(plane_from_normal_offset((0, 0, -1), 1.0))
-    return PlaneSet(planes)
+    a = 2 * np.pi * np.arange(6) / 6
+    sides = np.column_stack([np.cos(a), np.sin(a), np.zeros(6)])
+    normals = np.vstack([sides, [(0, 0, 1), (0, 0, -1)]])
+    return PlaneSet.from_normals(normals, [apothem] * 6 + [1.0, 1.0])
 
 
 @pytest.mark.parametrize("delta,tau", [(-1.0, 0.0), (0.0, -0.1), (0.0, np.pi / 2), (0.0, 4.0)])
@@ -69,15 +69,13 @@ def test_params_default_to_the_identity():
 
 
 def test_zero_delta_keeps_every_plane_even_redundant_ones(cube_mesh):
-    code = PlaneSet(list(encode_convex(cube_mesh)) + [plane_from_normal_offset((1, 0, 0), 2.0)])
+    code = PlaneSet.concatenate([encode_convex(cube_mesh), FAR_X_PLANE])
     out = simplify_code(code, SimplifyParams(delta=0.0))
-    assert [(p.direction.nu, p.direction.phi, p.h) for p in out] == [
-        (p.direction.nu, p.direction.phi, p.h) for p in code
-    ]
+    assert list(out) == list(code)
 
 
 def test_tiny_delta_discards_only_the_faceless_plane(cube_mesh):
-    code = PlaneSet(list(encode_convex(cube_mesh)) + [plane_from_normal_offset((1, 0, 0), 2.0)])
+    code = PlaneSet.concatenate([encode_convex(cube_mesh), FAR_X_PLANE])
     out = simplify_code(code, SimplifyParams(delta=1e-9))
     assert len(out) == 6
     assert np.abs(sorted_triplets(out) - CUBE_TRIPLETS).max() < 1e-12
@@ -130,7 +128,7 @@ def test_cube_face_adjacency_is_the_twelve_edges(cube_mesh):
     poly = decode_convex(encode_convex(cube_mesh))
     pairs = _face_adjacency(poly)
     assert len(pairs) == 12
-    normals = np.array([p.normal for p in poly.planes])
+    normals = poly.planes.normals()
     for a, b in pairs:
         assert abs(normals[a] @ normals[b]) < 1e-12
 
@@ -176,9 +174,9 @@ def thin_slab():
     The sides are short so the caps stay thin after float32 storage,
     which tilts their normals by up to 1.5e-7 rad.
     """
-    return PlaneSet(
-        [plane_from_normal_offset(n, 1e-3) for n in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))]
-        + [plane_from_normal_offset((0, 0, s), 2e-10) for s in (1, -1)]
+    return PlaneSet.from_normals(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+        [1e-3] * 4 + [2e-10] * 2,
     )
 
 

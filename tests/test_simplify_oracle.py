@@ -34,16 +34,10 @@ from planecode import (
 )
 from planecode.convex import ConvexPolyhedron
 from planecode.errors import GeometryError, OverSimplified, PartUndecodable
-from planecode.geometry import OrientedPlane, SphericalDirection, snapped_triplet
 from planecode.polygonize import PartCode, SegmentedCode, decode_part
 
 from conftest import quaternion_rotation, seeded_hulls
-
-
-def snapped_plane(direction, h, scale=1.0):
-    """Checked OrientedPlane of the row ``snapped_triplet`` gives."""
-    nu, phi, h = snapped_triplet(direction, h, scale)
-    return OrientedPlane(SphericalDirection(nu, phi), h)
+from test_plane_batch_oracle import oracle_snapped_row
 
 
 def angle_between(u, v):
@@ -231,7 +225,7 @@ def _merge_with_metrics(planes, areas, centroids, adjacency, params):
         direction = dir_sum[root] / np.linalg.norm(dir_sum[root])
         centroid = cen_sum[root] / area_sum[root]
         out.append(
-            snapped_plane(direction, float(direction @ centroid), scale=scale)
+            oracle_snapped_row(direction, float(direction @ centroid), scale=scale)
         )
     return PlaneSet(out)
 

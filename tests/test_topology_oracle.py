@@ -383,7 +383,7 @@ def test_face_adjacency_of_decoded_hulls_matches_the_oracle():
 def test_face_adjacency_with_repeated_planes_matches_the_oracle(cube_mesh):
     code = encode_convex(cube_mesh)
     for rows in ([5], [0, 0], [1, 4, 4]):
-        repeated = PlaneSet.from_triplets(
+        repeated = PlaneSet(
             np.concatenate([code.triplets(), code.triplets()[rows]])
         )
         poly = decode_convex(repeated)
