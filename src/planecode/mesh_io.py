@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .convex import coplanar_patches
+from .convex import EPS_CONVEX_REL, coplanar_patches
 from .errors import ParseError, UnsupportedFeature
 from .mesh import TriangleMesh, weld
 from .polygonize import SegmentedCode
@@ -284,7 +284,11 @@ def storage_report(mesh, code, quad_accounting=False):
 
 
 def count_coplanar_patches(mesh):
-    """Number of maximal edge-connected coplanar triangle patches."""
+    """Number of maximal edge-connected coplanar triangle patches.
+
+    Triangles are coplanar within the slack ``encode_convex`` and
+    ``polygonize_part`` merge patches with.
+    """
     normals, offsets = mesh.planes
-    eps = 1e-7 * max(1.0, mesh.bbox_diagonal())
+    eps = EPS_CONVEX_REL * mesh.bbox_diagonal()
     return len(coplanar_patches(mesh, normals, offsets, eps))

@@ -1,5 +1,10 @@
 """Lossy plane-code simplification: small faces out, near-parallel merged.
 
+A convex code is simplified as a part with no cutting planes, so one
+routine serves both code kinds: the passes touch only face planes, and
+either pass raises OverSimplified when it would leave fewer than 4
+planes in all, or no face plane.
+
 Both heuristics measure the decoded solid, never the coded bytes.  The
 area pass is single-sweep against the original decode, so removals do
 not cascade.  The merge pass unions adjacent planes greedily; a cluster
@@ -17,7 +22,7 @@ import math
 import numpy as np
 
 from .convex import PlaneSet, decode_convex
-from .errors import GeometryError, OverSimplified, PartUndecodable
+from .errors import GeometryError, OverSimplified
 from .geometry import angle_between, row_dots, snapped_triplets
 from .mesh import EdgeTable
 from .polygonize import PartCode, SegmentedCode, decode_part
@@ -86,85 +91,61 @@ def _face_adjacency(poly):
     return sorted({(min(p), max(p)) for p in zip(*planes.tolist()) if p[0] != p[1]})
 
 
-def _drop_small(code, areas, params, eps):
-    """Planes whose measured face area is at least delta, and their decode.
-
-    Planes with no face at all (redundant half-spaces) count as area
-    zero, so any positive delta discards them.  The decode is None when
-    every plane is kept, since it would repeat the decode the areas
-    came from.
-    """
-    out = code[areas >= params.delta]
-    if len(out) < 4:
-        raise OverSimplified(
-            "only %d plane(s) would remain" % len(out)
-        )
-    if len(out) == len(code):
-        return out, None
-    try:
-        return out, decode_convex(out, eps=eps)
-    except GeometryError as exc:
-        raise OverSimplified("remaining planes do not bound a solid: %s" % exc)
-
-
 def simplify_code(code, params, eps=None):
     """Both passes, for a convex or a segmented code.
 
-    The area pass keeps the planes whose decoded face area is at least
+    A convex code is simplified as one part with no cutting planes;
+    each part of a segmented code is simplified on its face planes, and
+    its boundary cutting planes are never dropped or merged.  The area
+    pass keeps the face planes whose decoded face area is at least
     ``params.delta``; a redundant plane has area zero, so delta = 0
-    keeps every plane.  The merge pass then unions adjacent planes
+    keeps every plane.  The merge pass then unions adjacent face planes
     whose directions differ by less than ``params.tau`` (skipped at
-    tau = 0).  A convex code that either pass would leave with fewer
-    than 4 planes raises OverSimplified.  Segmented codes are simplified
-    part by part on their face planes; boundary cutting planes are never
-    dropped or merged.
+    tau = 0).  Either pass raises OverSimplified when it would leave
+    fewer than 4 planes in all, or no face plane; a part's message
+    starts "part <index>: ".
     """
-    if isinstance(code, SegmentedCode):
-        return SegmentedCode(
-            [_simplify_part(p, i, params, eps) for i, p in enumerate(code.parts)]
+    if not isinstance(code, SegmentedCode):
+        return _simplify_faces(
+            code, 0, lambda planes: decode_convex(planes, eps=eps), "", params
         )
+    parts = []
+    for i, part in enumerate(code.parts):
+        cuts = part.boundary_planes
+        faces = _simplify_faces(
+            part.face_planes,
+            len(cuts),
+            lambda planes: decode_part(PartCode(part.kind, planes, cuts), i, eps=eps),
+            "part %d: " % i,
+            params,
+        )
+        parts.append(PartCode(part.kind, faces, cuts))
+    return SegmentedCode(parts)
+
+
+def _simplify_faces(faces, n_cuts, decode, prefix, params):
+    """Both passes over ``faces``, closed by ``n_cuts`` cutting planes.
+
+    ``decode(faces)`` decodes them with the cutting planes, whose face
+    rings come last; it runs again only when the area pass drops a
+    plane.  OverSimplified messages start with ``prefix``.
+    """
     if params.delta <= 0.0 and params.tau <= 0.0:
-        return code
-    poly = decode_convex(code, eps=eps)
-    areas, centroids = _face_measurements(poly, len(code))
-    out = code
-    if params.delta > 0.0:
-        out, kept = _drop_small(code, areas, params, eps)
-        if kept is not None:
-            poly = kept
-            areas, centroids = _face_measurements(poly, len(out))
-    if params.tau > 0.0:
-        out = _merge_with_metrics(out, areas, centroids, _face_adjacency(poly), params)
-        if len(out) < 4:
-            raise OverSimplified("only %d plane(s) would remain" % len(out))
-    return out
-
-
-def _simplify_part(part, index, params, eps):
-    faces = part.face_planes
-    boundary = part.boundary_planes
-
-    def part_poly(face_planes):
-        return decode_part(PartCode(part.kind, face_planes, boundary), index, eps=eps)
-
-    if params.delta <= 0.0 and (params.tau <= 0.0 or not len(faces)):
-        return PartCode(part.kind, faces, boundary)
-    poly = part_poly(faces)
-    areas, centroids = _face_measurements(poly, len(faces) + len(boundary))
+        return faces
+    poly = decode(faces)
+    areas, centroids = _face_measurements(poly, len(faces) + n_cuts)
     if params.delta > 0.0:
         kept = faces[areas[: len(faces)] >= params.delta]
-        if not len(kept):
-            raise OverSimplified("part %d would lose every face plane" % index)
+        _check_remaining(kept, n_cuts, prefix)
         if len(kept) < len(faces):
             try:
-                poly = part_poly(kept)
-            except PartUndecodable:
+                poly = decode(kept)
+            except GeometryError as exc:
                 raise OverSimplified(
-                    "part %d no longer bounds a solid after area pass" % index
+                    prefix + "remaining planes do not bound a solid: %s" % exc
                 )
-            areas, centroids = _face_measurements(poly, len(kept) + len(boundary))
+            areas, centroids = _face_measurements(poly, len(kept) + n_cuts)
         faces = kept
-
     if params.tau > 0.0:
         n_face = len(faces)
         adjacency = [
@@ -173,7 +154,18 @@ def _simplify_part(part, index, params, eps):
         faces = _merge_with_metrics(
             faces, areas[:n_face], centroids[:n_face], adjacency, params
         )
-    return PartCode(part.kind, faces, boundary)
+        _check_remaining(faces, n_cuts, prefix)
+    return faces
+
+
+def _check_remaining(faces, n_cuts, prefix):
+    """OverSimplified unless 4 planes in all and one face plane remain."""
+    if len(faces) + n_cuts < 4:
+        raise OverSimplified(
+            prefix + "only %d plane(s) would remain" % (len(faces) + n_cuts)
+        )
+    if not len(faces):
+        raise OverSimplified(prefix + "no face plane would remain")
 
 
 def _merge_with_metrics(planes, areas, centroids, adjacency, params):

@@ -208,6 +208,16 @@ def test_coplanar_patch_counts(corpus_meshes):
         assert count_coplanar_patches(mesh) == expected[name], name
 
 
+def test_patch_count_uses_the_encoders_slack():
+    # a 0.01 cube far from the origin whose top face is bent by 1e-10:
+    # encode_convex splits that face, so the patch count must split it too
+    cube = shapes.cube()
+    vertices = cube.vertices * 0.01 + np.array([3.0, -3.0, 0.0])
+    vertices[5, 2] -= 1e-10
+    mesh = TriangleMesh(vertices, cube.triangles)
+    assert count_coplanar_patches(mesh) == len(encode_convex(mesh)) == 7
+
+
 def test_report_math_is_plain_arithmetic():
     rep = StorageReport(22, 16, 28, quad_count=14)
     assert rep.plane_bytes == 264
