@@ -1,6 +1,6 @@
 """Split two non-convex solids into pseudo-convex and pseudo-concave parts.
 
-The staircase block has a tilted dent in its top; the two-notch block
+The notched box has a tilted dent in its top; the two-notch block
 has one dent in the top and one in the bottom.  Each dent becomes a
 pseudo-concave part, the remaining shell a pseudo-convex one, and every
 part gets a few extra cutting planes that close its open rim.
@@ -18,7 +18,7 @@ from planecode import (
 )
 from planecode.shapes import notched_box, two_notch_box
 
-for name, mesh in (("staircase", notched_box()), ("two-notch block", two_notch_box())):
+for name, mesh in (("notched box", notched_box()), ("two-notch block", two_notch_box())):
     print("== %s: %d vertices, %d triangles" % (
         name, len(mesh.vertices), len(mesh.triangles)))
     parts = segment_mesh(mesh)

@@ -20,13 +20,13 @@ def account(name, mesh, code, quad_accounting):
 
 account("tetrahedron", tetrahedron(), encode_convex(tetrahedron()), False)
 account("cube", cube(), encode_convex(cube()), False)
-account("staircase", notched_box(), encode_segmented(notched_box()), True)
+account("notched box", notched_box(), encode_segmented(notched_box()), True)
 account("two-notch", two_notch_box(), encode_segmented(two_notch_box()), True)
 
 print("%-12s %12s %14s %8s" % ("solid", "plane bytes", "indexed bytes", "ratio"))
 for name, planes, indexed, ratio in ROWS:
     print("%-12s %12d %14d %8.4f" % (name, planes, indexed, ratio))
 
-print("\nthe staircase and two-notch rows charge the indexed form 48 bytes")
+print("\nthe notched box and two-notch rows charge the indexed form 48 bytes")
 print("per quad patch; their plane counts include the cutting planes that")
 print("close each part, so the ratio is an honest end-to-end comparison")

@@ -453,6 +453,8 @@ def encode_convex(mesh, eps=None):
     triangles at a time and stops at the first block that fails, so a
     non-convex mesh rarely pays for the whole triangles x vertices table.
     Adjacent coplanar triangles contribute a single area-weighted plane.
+    Fewer than 4 such patches bound no volume (a flat or empty mesh) and
+    raise UnboundedRegion, as ``decode_convex`` would on their code.
     The result is sorted canonically by (nu, phi, h).
     """
     if not mesh.is_closed:
@@ -475,6 +477,8 @@ def encode_convex(mesh, eps=None):
                 triangle_index=r + t,
             )
     patches = coplanar_patches(mesh, normals, offsets, eps)
+    if len(patches) < 4:
+        raise UnboundedRegion("%d half-space(s) cannot bound a volume" % len(patches))
     return patch_planes(mesh, patches, max(1.0, diag)).sorted_canonical()
 
 

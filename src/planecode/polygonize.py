@@ -125,13 +125,15 @@ def _patch_ring(loops):
         raise NonSimpleBoundary(
             "coplanar patch has %d boundary loops, expected 1" % len(loops)
         )
-    loop = loops[0]
-    start = loop.index(min(loop))
-    return loop[start:] + loop[:start]
+    return loops[0]
 
 
 def _chain_loops(edges):
-    """Directed edges -> vertex loops; raises on branch or dead end."""
+    """Directed edges -> vertex loops; raises on branch or dead end.
+
+    Walks start at the unwalked vertices in increasing order, and the
+    loops are disjoint, so each loop starts at its smallest vertex.
+    """
     succ = {}
     for a, b in edges:
         if a in succ:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import InconsistentOrientation, NonManifold
 from .geometry import triangle_planes
+from .mesh import adjacency
 
 EPS_ORIENT_REL = 1e-7  # six-vertex test slack per unit of bbox diagonal
 
@@ -56,12 +57,6 @@ class MeshPart:
         )
 
 
-def _corners(mesh, t):
-    if isinstance(t, (int, np.integer)):
-        t = mesh.triangles[t]
-    return mesh.vertices[np.asarray(t, dtype=np.int64)]
-
-
 def mutual_orientation(mesh, t1, t2, eps=None):
     """Classify a triangle pair as POSITIVE, NEGATIVE, or MIXED.
 
@@ -74,14 +69,13 @@ def mutual_orientation(mesh, t1, t2, eps=None):
     """
     if eps is None:
         eps = EPS_ORIENT_REL * mesh.bbox_diagonal()
-    a = _corners(mesh, t1)
-    b = _corners(mesh, t2)
-    normals, offsets = triangle_planes(*np.stack([a, b], axis=1))
-    d_ab = b @ normals[0] - offsets[0]
-    d_ba = a @ normals[1] - offsets[1]
-    if (d_ab <= eps).all() and (d_ba <= eps).all():
+    tris = [mesh.triangles[t] if isinstance(t, (int, np.integer)) else t for t in (t1, t2)]
+    a, b = mesh.vertices[np.asarray(tris, dtype=np.int64)]
+    n, h = triangle_planes(*np.stack([a, b], axis=1))
+    below, above = _sides(a[None], b[None], n[:1], h[:1], n[1:], h[1:], eps)
+    if below[0]:
         return MutualOrientation.POSITIVE
-    if (d_ab >= -eps).all() and (d_ba >= -eps).all():
+    if above[0]:
         return MutualOrientation.NEGATIVE
     return MutualOrientation.MIXED
 
@@ -193,32 +187,34 @@ def segment_mesh(mesh, eps=None):
 def _strict_neighbors(corners, normals, offs, i, j, eps):
     """Per kind, the triangles in a neighbor pair strictly of it, with those neighbors.
 
-    A neighbor pair (i, j) is mutually nonpositive when each triangle
-    lies in the closed negative half-space of the other's plane,
-    mutually nonnegative in the mirror case.  Coplanar pairs are both,
-    so they count for neither kind.  All pairs are tested in one batch.
-    Each kind gets a list of (triangle, neighbors) in triangle order
-    (``_seed_list``), which is all the seed scan reads.
+    All neighbor pairs (i, j) go through ``_sides`` in one batch.
+    Coplanar pairs are both below and above, so they count for neither
+    kind.  Each kind gets a list of (triangle, neighbors) in triangle
+    order, neighbors as ``adjacency`` orders them, which is all the seed
+    scan reads.
     """
-    # corners of one triangle against the other's plane, each way
-    d_ij = np.matmul(corners[j], normals[i][:, :, None])[:, :, 0] - offs[i][:, None]
-    d_ji = np.matmul(corners[i], normals[j][:, :, None])[:, :, 0] - offs[j][:, None]
-    below = (d_ij <= eps).all(axis=1) & (d_ji <= eps).all(axis=1)
-    above = (d_ij >= -eps).all(axis=1) & (d_ji >= -eps).all(axis=1)
-    convex, concave = below & ~above, above & ~below
+    below, above = _sides(corners[i], corners[j], normals[i], offs[i], normals[j], offs[j], eps)
+    strict = {PartKind.PSEUDO_CONVEX: below & ~above, PartKind.PSEUDO_CONCAVE: above & ~below}
     return {
-        PartKind.PSEUDO_CONVEX: _seed_list(i[convex], j[convex]),
-        PartKind.PSEUDO_CONCAVE: _seed_list(i[concave], j[concave]),
+        kind: [(t, nb) for t, nb in enumerate(adjacency(len(corners), i[s], j[s])) if nb]
+        for kind, s in strict.items()
     }
 
 
-def _seed_list(i, j):
-    """(t, [neighbors of t]) for each t in a pair of (i, j), by increasing t."""
-    x = np.concatenate([i, j])
-    order = np.argsort(x, kind="stable")
-    x, y = x[order], np.concatenate([j, i])[order]
-    starts = np.flatnonzero(np.diff(x, prepend=-1))
-    return list(zip(x[starts].tolist(), [g.tolist() for g in np.split(y, starts[1:])]))
+def _sides(ci, cj, ni, hi, nj, hj, eps):
+    """(below, above) per pair: the six-vertex test of mutual orientation.
+
+    Pair k is below when each triangle's corners (``ci[k]``, ``cj[k]``)
+    lie within ``eps`` of the closed negative half-space of the other's
+    plane (``ni[k] . x = hi[k]``, ``nj[k] . x = hj[k]``), above in the
+    mirror case.  Coplanar pairs are both.
+    """
+    # corners of one triangle against the other's plane, each way
+    d_ij = np.matmul(cj, ni[:, :, None])[:, :, 0] - hi[:, None]
+    d_ji = np.matmul(ci, nj[:, :, None])[:, :, 0] - hj[:, None]
+    below = (d_ij <= eps).all(axis=1) & (d_ji <= eps).all(axis=1)
+    above = (d_ij >= -eps).all(axis=1) & (d_ji >= -eps).all(axis=1)
+    return below, above
 
 
 def _plane_ids(normals, offs):

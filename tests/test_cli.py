@@ -185,6 +185,21 @@ def test_unbounded_code_exits_3(capsys, tmp_path, cube_mesh):
     assert "UnboundedRegion" in err
 
 
+@pytest.mark.parametrize(
+    "obj",
+    ["v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 3 2\n", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"],
+    ids=["two-sided triangle", "no faces"],
+)
+def test_encoding_a_mesh_without_volume_exits_3_and_writes_nothing(capsys, tmp_path, obj):
+    mesh_path = tmp_path / "flat.obj"
+    mesh_path.write_text(obj)
+    code_path = tmp_path / "flat.plnc"
+    rc, out, err = run(capsys, "encode", str(mesh_path), str(code_path))
+    assert (rc, out) == (3, "")
+    assert err.startswith("UnboundedRegion: ")
+    assert not code_path.exists()
+
+
 def test_junk_code_exits_4(capsys, tmp_path, cube_obj):
     rc, _, err = run(capsys, "decode", cube_obj, str(tmp_path / "o.obj"))
     assert rc == 4

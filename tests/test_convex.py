@@ -202,3 +202,72 @@ def test_rotated_code_still_decodes(cube_mesh):
     poly = decode_convex(rotate_planes(code, r))
     assert len(poly.vertices) == 8
     assert poly.to_mesh().volume() == pytest.approx(1.0, rel=1e-9)
+
+
+TWO_SIDED_TRIANGLE = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2], [0, 2, 1]])
+
+
+@pytest.mark.parametrize(
+    "mesh, planes",
+    [(TWO_SIDED_TRIANGLE, 2), (TriangleMesh(np.eye(3), np.zeros((0, 3), dtype=int)), 0)],
+    ids=["two-sided triangle", "no triangles"],
+)
+def test_closed_meshes_without_volume_are_unbounded(mesh, planes):
+    # both are closed and pass the convexity test; their codes would
+    # fail in decode_convex with the same error
+    assert mesh.is_closed
+    with pytest.raises(UnboundedRegion, match="^%d half-space" % planes):
+        encode_convex(mesh)
+
+
+@st.composite
+def circle_polygons(draw):
+    """A convex polygon on a unit circle in a random plane: (corners, rotation).
+
+    Its 3 to 12 corners sit at increasing angles at least 0.1 rad apart,
+    the wrap-around gap included.
+    """
+    n = draw(st.integers(3, 12))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    gaps = 0.1 + (2.0 * math.pi - 0.1 * n) * weights / weights.sum()
+    angles = np.cumsum(gaps) - gaps[0]
+    rotation = quaternion_rotation(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return np.column_stack([np.cos(angles), np.sin(angles)]), rotation
+
+
+def fan(ring, flip=False):
+    """Triangles fanning a ring of vertex indices from its first."""
+    tris = [(ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
+    return [t[::-1] for t in tris] if flip else tris
+
+
+@given(circle_polygons())
+@settings(deadline=None, max_examples=40)
+def test_a_flat_polygon_fanned_on_both_sides_is_unbounded(polygon):
+    xy, rotation = polygon
+    n = len(xy)
+    points = np.column_stack([xy, np.zeros(n)]) @ rotation.T
+    # the back fans from the next corner, so no diagonal is shared
+    mesh = TriangleMesh(points, fan(range(n)) + fan([*range(1, n), 0], flip=True))
+    assert mesh.is_closed
+    with pytest.raises(UnboundedRegion, match="^2 half-space"):
+        encode_convex(mesh)
+
+
+@given(circle_polygons(), st.floats(1e-3, 10.0))
+@settings(deadline=None, max_examples=40)
+def test_the_same_polygon_extruded_round_trips(polygon, height):
+    xy, rotation = polygon
+    n = len(xy)
+    prism = np.vstack([np.column_stack([xy, np.zeros(n)]), np.column_stack([xy, np.full(n, height)])])
+    sides = []
+    for i in range(n):
+        j = (i + 1) % n
+        sides += [(i, j, n + j), (i, n + j, n + i)]
+    mesh = TriangleMesh(prism @ rotation.T, fan(range(n), flip=True) + fan(range(n, 2 * n)) + sides)
+    assert mesh.is_closed and mesh.is_consistently_oriented
+    x, y = xy.T
+    area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    code = encode_convex(mesh)
+    assert len(code) == n + 2
+    assert decode_convex(code).to_mesh().volume() == pytest.approx(area * height, rel=1e-6)

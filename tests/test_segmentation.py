@@ -209,11 +209,16 @@ def test_a_1020_triangle_hull_segments_in_well_under_a_second():
 
 
 def test_seed_lists_and_plane_labels():
-    from planecode.segmentation import _plane_ids, _seed_list
+    from planecode.mesh import adjacency
+    from planecode.segmentation import _plane_ids
+
+    def seed_list(i, j, nt=6):
+        # the expression _strict_neighbors builds each kind's list with
+        return [(t, nb) for t, nb in enumerate(adjacency(nt, i, j)) if nb]
 
     i, j = np.array([4, 1, 1]), np.array([2, 4, 0])
-    assert _seed_list(i, j) == [(0, [1]), (1, [4, 0]), (2, [4]), (4, [2, 1])]
-    assert _seed_list(i[:0], j[:0]) == []
+    assert seed_list(i, j) == [(0, [1]), (1, [4, 0]), (2, [4]), (4, [2, 1])]
+    assert seed_list(i[:0], j[:0]) == []
     normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     offs = np.array([1.0, 1.0, 1.0, 2.0])
     ids = _plane_ids(normals, offs)
