@@ -46,36 +46,38 @@ def build_parser():
         description="Code triangle meshes as collections of oriented planes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    slack = argparse.ArgumentParser(add_help=False)
+    slack.add_argument("--eps", type=float,
+                       help="point-to-plane slack (default 1e-7 x the bounding-box diagonal)")
+    radius = argparse.ArgumentParser(add_help=False)
+    radius.add_argument("--eps", type=float,
+                        help="least inscribed-ball radius (default 1e-9 x max(1, |h|))")
 
-    enc = sub.add_parser("encode", help="mesh file to .plnc code")
+    enc = sub.add_parser("encode", parents=[slack], help="mesh file to .plnc code")
     enc.add_argument("mesh", help="input mesh (.obj or .stl)")
     enc.add_argument("out", help="output .plnc path")
-    enc.add_argument("--eps", type=float, default=None)
     enc.add_argument(
         "--degrees",
         action="store_true",
         help="list the planes with angles in degrees (display only)",
     )
 
-    dec = sub.add_parser("decode", help=".plnc code to mesh file")
+    dec = sub.add_parser("decode", parents=[radius], help=".plnc code to mesh file")
     dec.add_argument("code", help="input .plnc path")
     dec.add_argument("out", help="output mesh path")
     dec.add_argument("--format", choices=("obj", "stl"), default=None)
-    dec.add_argument("--eps", type=float, default=None)
 
-    seg = sub.add_parser("segment", help="print the part table of a mesh")
+    seg = sub.add_parser("segment", parents=[slack], help="print the part table of a mesh")
     seg.add_argument("mesh", help="input mesh (.obj or .stl)")
-    seg.add_argument("--eps", type=float, default=None)
     seg.add_argument("--degrees", action="store_true")
 
-    sim = sub.add_parser("simplify", help="lossy .plnc to .plnc")
+    sim = sub.add_parser("simplify", parents=[radius], help="lossy .plnc to .plnc")
     sim.add_argument("code", help="input .plnc path")
     sim.add_argument("out", help="output .plnc path")
     sim.add_argument("--delta", type=float, default=0.0,
                      help="drop faces smaller than this area")
     sim.add_argument("--tau", type=float, default=0.0,
                      help="merge planes closer than this angle, in degrees")
-    sim.add_argument("--eps", type=float, default=None)
 
     st = sub.add_parser("stats", help="storage accounting for mesh + code")
     st.add_argument("mesh", help="mesh the code was produced from")

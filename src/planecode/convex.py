@@ -41,7 +41,6 @@ from .geometry import (
 )
 from .mesh import TriangleMesh, components, fan
 
-EPS_CONVEX_REL = 1e-7     # convexity slack per unit of bounding-box diagonal
 COND_LIMIT = 1e8          # triple solves beyond this condition number are skipped
 DET_CLEAR = 2.0 / COND_LIMIT * (1.0 + 1e-6)  # |det| above this proves cond < COND_LIMIT
 MAX_VERTEX_TRIPLES = 220  # triples averaged per vertex, C(12, 3): bounds the cost
@@ -50,6 +49,7 @@ COPLANAR_ANGLE = 1e-6     # radians; triangles closer than this may share a face
 CONVEX_ROWS = 64          # triangles per block of the convexity test
 SURROUND_DIRECTIONS = 128 # directions probed by the surround screen
 SURROUND_MARGIN = 1e-6    # ball about the origin the surround screen proves
+ROTATION_TOL = 1e-9       # largest |R^T R - I| entry and |det R - 1| of a rotation
 
 class PlaneSet:
     """Ordered oriented planes encoding one convex region.
@@ -447,11 +447,11 @@ def encode_convex(mesh, eps=None):
     """Face planes of a closed convex mesh, coplanar groups merged.
 
     Every vertex must sit in the closed negative half-space of every
-    triangle's plane (within ``eps``, default scaled by the bounding-box
-    diagonal); the first violation in (triangle, vertex) order is
-    reported in the NotConvex error.  The test runs CONVEX_ROWS
-    triangles at a time and stops at the first block that fails, so a
-    non-convex mesh rarely pays for the whole triangles x vertices table.
+    triangle's plane (within ``eps``, default ``mesh.slack()``); the first
+    violation in (triangle, vertex) order is reported in the NotConvex
+    error.  The test runs CONVEX_ROWS triangles at a time and stops at
+    the first block that fails, so a non-convex mesh rarely pays for the
+    whole triangles x vertices table.
     Adjacent coplanar triangles contribute a single area-weighted plane.
     Fewer than 4 such patches bound no volume (a flat or empty mesh) and
     raise UnboundedRegion, as ``decode_convex`` would on their code.
@@ -459,10 +459,7 @@ def encode_convex(mesh, eps=None):
     """
     if not mesh.is_closed:
         raise NotClosed("mesh has boundary or over-shared edges")
-    diag = mesh.bbox_diagonal()
-    if eps is None:
-        eps = EPS_CONVEX_REL * diag
-
+    eps = mesh.slack(eps)
     normals, offsets = mesh.planes
     points = mesh.vertices.T
     for r in range(0, len(normals), CONVEX_ROWS):
@@ -479,7 +476,7 @@ def encode_convex(mesh, eps=None):
     patches = coplanar_patches(mesh, normals, offsets, eps)
     if len(patches) < 4:
         raise UnboundedRegion("%d half-space(s) cannot bound a volume" % len(patches))
-    return patch_planes(mesh, patches, max(1.0, diag)).sorted_canonical()
+    return patch_planes(mesh, patches, max(1.0, mesh.bbox_diagonal())).sorted_canonical()
 
 
 def coplanar_patches(mesh, normals, offsets, eps, members=None):
@@ -564,15 +561,15 @@ def rotate_planes(code, r):
     return PlaneSet.from_normals(w, code.offsets())
 
 
-def check_rotation(r, tol=1e-9):
+def check_rotation(r):
     """Validate a proper rotation matrix, returning it as a float array."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise NotARotation("expected a 3x3 matrix, got shape %r" % (r.shape,))
     if not np.isfinite(r).all():
         raise NotARotation("matrix has non-finite entries")
-    if np.abs(r.T @ r - np.eye(3)).max() > tol:
+    if np.abs(r.T @ r - np.eye(3)).max() > ROTATION_TOL:
         raise NotARotation("matrix is not orthogonal")
-    if abs(np.linalg.det(r) - 1.0) > tol:
+    if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
         raise NotARotation("determinant is not +1")
     return r

@@ -96,23 +96,23 @@ def angle_rows(w):
     return np.array(out, dtype=float).reshape(-1, 2)
 
 
-def triangle_planes(p1, p2, p3, eps_area=EPS_AREA):
+def triangle_planes(p1, p2, p3):
     """Unit normals and offsets of the planes through triangle corners.
 
     ``p1``, ``p2`` and ``p3`` are (T, 3) corner arrays.  The normal is
     the normalized cross product (p2 - p1) x (p3 - p2), so a
     counterclockwise vertex order seen from outside yields an outward
     normal; the offset is omega . p1.  The degeneracy test is on the
-    squared cross-product norm, so ``eps_area`` lives at the length**4
+    squared cross-product norm, so EPS_AREA lives at the length**4
     scale; the first degenerate triangle raises DegenerateTriangle.
     """
     p1, p2, p3 = (np.asarray(p, dtype=float).reshape(-1, 3) for p in (p1, p2, p3))
     c = np.cross(p2 - p1, p3 - p2)
     nsq = np.einsum("ij,ij->i", c, c)
-    bad = np.flatnonzero(nsq <= eps_area)
+    bad = np.flatnonzero(nsq <= EPS_AREA)
     if len(bad):
         raise DegenerateTriangle(
-            "squared cross norm %.3g <= %.3g" % (nsq[bad[0]], eps_area)
+            "squared cross norm %.3g <= %.3g" % (nsq[bad[0]], EPS_AREA)
         )
     normals = c / np.sqrt(nsq)[:, None]
     return normals, np.einsum("ij,ij->i", normals, p1)

@@ -8,9 +8,11 @@ from scipy.spatial import cKDTree
 
 from .geometry import triangle_planes
 
+SLACK_REL = 1e-7  # encode-side point-to-plane slack per unit of bounding-box diagonal
+
 
 class TriangleMesh:
-    """Vertices plus triangles, with lazily built edge adjacency and planes.
+    """Vertices plus triangles, with lazily built edge adjacency, planes and diagonal.
 
     ``vertices`` is an (V, 3) float array, ``triangles`` a (T, 3) int
     array.  Each triangle lists its corners counterclockwise as seen
@@ -77,11 +79,22 @@ class TriangleMesh:
 
     # -- measures ------------------------------------------------------
 
-    def bbox_diagonal(self):
+    @functools.cached_property
+    def _diagonal(self):
         if len(self.vertices) == 0:
             return 0.0
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return float(np.linalg.norm(span))
+
+    def bbox_diagonal(self):
+        return self._diagonal
+
+    def slack(self, eps=None):
+        """``eps`` when given, else SLACK_REL times the bounding-box diagonal.
+
+        Every encode-side point-to-plane test takes its default slack here.
+        """
+        return SLACK_REL * self._diagonal if eps is None else eps
 
     def triangle_corners(self):
         """The three corner arrays (T, 3) of every triangle."""

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .convex import EPS_CONVEX_REL, coplanar_patches
+from .convex import coplanar_patches
 from .errors import ParseError, UnsupportedFeature
 from .mesh import TriangleMesh, weld
 from .polygonize import SegmentedCode
@@ -286,9 +286,7 @@ def storage_report(mesh, code, quad_accounting=False):
 def count_coplanar_patches(mesh):
     """Number of maximal edge-connected coplanar triangle patches.
 
-    Triangles are coplanar within the slack ``encode_convex`` and
-    ``polygonize_part`` merge patches with.
+    Triangles are coplanar within ``mesh.slack()``, the slack that
+    ``encode_convex`` and ``polygonize_part`` merge patches with.
     """
-    normals, offsets = mesh.planes
-    eps = EPS_CONVEX_REL * mesh.bbox_diagonal()
-    return len(coplanar_patches(mesh, normals, offsets, eps))
+    return len(coplanar_patches(mesh, *mesh.planes, mesh.slack()))

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .convex import (
-    EPS_CONVEX_REL,
     PlaneSet,
     coplanar_patches,
     decode_convex,
@@ -98,12 +97,9 @@ def polygonize_part(mesh, part, eps=None):
     Raises NonSimpleBoundary when a merged patch is not a disk (its
     boundary is more than one loop, or pinches at a vertex).
     """
-    diag = mesh.bbox_diagonal()
-    if eps is None:
-        eps = EPS_CONVEX_REL * diag
     normals, offsets = mesh.planes
-    patches = coplanar_patches(mesh, normals, offsets, eps, members=part.triangles)
-    planes = patch_planes(mesh, patches, max(1.0, diag))
+    patches = coplanar_patches(mesh, normals, offsets, mesh.slack(eps), members=part.triangles)
+    planes = patch_planes(mesh, patches, max(1.0, mesh.bbox_diagonal()))
     return [
         PolygonFace(plane, _patch_ring(loops), patch)
         for plane, patch, loops in zip(planes, patches, _border_loops(mesh, patches))
@@ -165,10 +161,8 @@ def boundary_planes_for_part(mesh, part, eps=None):
     all of the part's vertices in its closed negative half-space.  The
     cuts are snapped together by one ``snapped_triplets`` call.
     """
-    diag = mesh.bbox_diagonal()
-    if eps is None:
-        eps = EPS_CONVEX_REL * diag
-    scale = max(1.0, diag)
+    eps = mesh.slack(eps)
+    scale = max(1.0, mesh.bbox_diagonal())
     part_verts = mesh.vertices[np.unique(mesh.triangles[part.triangles])]
     planes = []
     for loop in next(_border_loops(mesh, [part.triangles])):

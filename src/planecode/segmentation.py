@@ -29,8 +29,6 @@ from .errors import InconsistentOrientation, NonManifold
 from .geometry import triangle_planes
 from .mesh import adjacency
 
-EPS_ORIENT_REL = 1e-7  # six-vertex test slack per unit of bbox diagonal
-
 
 class MutualOrientation(enum.Enum):
     POSITIVE = "positive"
@@ -62,17 +60,15 @@ def mutual_orientation(mesh, t1, t2, eps=None):
 
     ``t1`` and ``t2`` may be triangle indices or vertex-index triples.
     Each triangle's corners are tested against the other's plane with
-    slack ``eps``, by default ``segment_mesh``'s EPS_ORIENT_REL times
-    the bounding-box diagonal, so rounding cannot split a coplanar
-    pair.  Coplanar pairs come out POSITIVE because both
-    closed-half-space conditions hold and the positive test runs first.
+    slack ``eps``, by default ``mesh.slack()`` as in ``segment_mesh``,
+    so rounding cannot split a coplanar pair.  Coplanar pairs come out
+    POSITIVE because both closed-half-space conditions hold and the
+    positive test runs first.
     """
-    if eps is None:
-        eps = EPS_ORIENT_REL * mesh.bbox_diagonal()
     tris = [mesh.triangles[t] if isinstance(t, (int, np.integer)) else t for t in (t1, t2)]
     a, b = mesh.vertices[np.asarray(tris, dtype=np.int64)]
     n, h = triangle_planes(*np.stack([a, b], axis=1))
-    below, above = _sides(a[None], b[None], n[:1], h[:1], n[1:], h[1:], eps)
+    below, above = _sides(a[None], b[None], n[:1], h[:1], n[1:], h[1:], mesh.slack(eps))
     if below[0]:
         return MutualOrientation.POSITIVE
     if above[0]:
@@ -116,8 +112,7 @@ def segment_mesh(mesh, eps=None):
         raise InconsistentOrientation(
             "adjacent triangles disagree on winding direction"
         )
-    if eps is None:
-        eps = EPS_ORIENT_REL * mesh.bbox_diagonal()
+    eps = mesh.slack(eps)
 
     nt = len(mesh.triangles)
     vertices = mesh.vertices

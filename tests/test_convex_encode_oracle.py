@@ -14,10 +14,10 @@ import pytest
 from planecode import TriangleMesh, encode_convex, shapes
 from planecode.convex import (
     CONVEX_ROWS,
-    EPS_CONVEX_REL,
     coplanar_patches,
     patch_planes,
 )
+from planecode.mesh import SLACK_REL as EPS_CONVEX_REL
 from planecode.errors import NotClosed, NotConvex
 from planecode.geometry import triangle_planes
 

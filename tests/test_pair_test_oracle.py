@@ -18,7 +18,8 @@ import pytest
 
 from planecode import MutualOrientation, PartKind, TriangleMesh, mutual_orientation, shapes
 from planecode.geometry import triangle_planes
-from planecode.segmentation import EPS_ORIENT_REL, _sides, _strict_neighbors
+from planecode.mesh import SLACK_REL as EPS_ORIENT_REL
+from planecode.segmentation import _sides, _strict_neighbors
 
 from test_segment_oracle import (
     ROTATIONS,

@@ -23,9 +23,10 @@ from planecode import (
     segment_mesh,
     shapes,
 )
-from planecode.convex import EPS_CONVEX_REL, check_rotation, coplanar_patches, patch_planes
+from planecode.convex import check_rotation, coplanar_patches, patch_planes
 from planecode.errors import NotUnitVector
 from planecode.geometry import EPS_UNIT, SNAP_AXIS, TWO_PI, angle_rows, snapped_triplets
+from planecode.mesh import SLACK_REL as EPS_CONVEX_REL
 
 from conftest import quaternion_rotation
 from test_segment_oracle import GRID_FIXTURES, grid_cut, via_float32_stl

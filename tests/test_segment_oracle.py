@@ -19,7 +19,8 @@ from scipy.spatial import ConvexHull
 from planecode import TriangleMesh, load_mesh, segment_mesh, shapes, write_stl_binary
 from planecode.errors import InconsistentOrientation, NonManifold
 from planecode.geometry import triangle_planes
-from planecode.segmentation import EPS_ORIENT_REL, MeshPart, PartKind
+from planecode.mesh import SLACK_REL as EPS_ORIENT_REL
+from planecode.segmentation import MeshPart, PartKind
 
 from conftest import seeded_hulls
 
