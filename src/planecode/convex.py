@@ -20,13 +20,19 @@ vertices, so incidence never depends on a distance tolerance.
 
 This module also holds the pieces the segmented codec shares: coplanar
 patches as components of coplanar neighbours (``coplanar_patches``), the
-area-weighted plane of a patch (``patch_planes``).  The part decode that
+area-weighted plane of a patch (``patch_planes``), and the face table that
+holds both for a whole mesh (``FaceTable``).  ``face_table`` builds one
+table per mesh and slack and caches it on the mesh, so ``encode_convex``,
+``mesh_io.count_coplanar_patches`` and every part of a segmented encode
+read one set of patches, one ``patch_planes`` call's rows and, when a part
+asks, one grouped edge table's patch borders.  The part decode that
 negates pseudo-concave faces lives in ``polygonize.decode_part``.
 """
 
 import functools
 import itertools
 import math
+import weakref
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
@@ -36,10 +42,11 @@ from .geometry import (
     SNAP_AXIS,
     angle_rows,
     check_triplets,
+    cross,
     row_dots,
     snapped_triplets,
 )
-from .mesh import TriangleMesh, components, fan
+from .mesh import TriangleMesh, components, fan, group_borders
 
 COND_LIMIT = 1e8          # triple solves beyond this condition number are skipped
 DET_CLEAR = 2.0 / COND_LIMIT * (1.0 + 1e-6)  # |det| above this proves cond < COND_LIMIT
@@ -452,7 +459,8 @@ def encode_convex(mesh, eps=None):
     error.  The test runs CONVEX_ROWS triangles at a time and stops at
     the first block that fails, so a non-convex mesh rarely pays for the
     whole triangles x vertices table.
-    Adjacent coplanar triangles contribute a single area-weighted plane.
+    Adjacent coplanar triangles contribute a single area-weighted plane,
+    read from the mesh's face table (``face_table``).
     Fewer than 4 such patches bound no volume (a flat or empty mesh) and
     raise UnboundedRegion, as ``decode_convex`` would on their code.
     The result is sorted canonically by (nu, phi, h).
@@ -473,10 +481,59 @@ def encode_convex(mesh, eps=None):
                 vertex_index=v,
                 triangle_index=r + t,
             )
-    patches = coplanar_patches(mesh, normals, offsets, eps)
-    if len(patches) < 4:
-        raise UnboundedRegion("%d half-space(s) cannot bound a volume" % len(patches))
-    return patch_planes(mesh, patches, max(1.0, mesh.bbox_diagonal())).sorted_canonical()
+    table = face_table(mesh, eps)
+    if len(table.patches) < 4:
+        raise UnboundedRegion("%d half-space(s) cannot bound a volume" % len(table.patches))
+    return table.planes.sorted_canonical()
+
+
+class FaceTable:
+    """A mesh's maximal coplanar patches at one slack, with their planes and borders.
+
+    ``patches`` is ``coplanar_patches`` over the whole mesh: each patch's
+    triangles in increasing order, the patches in order of their smallest
+    triangle.  ``sizes`` holds the patch sizes and ``labels[t]`` the patch
+    of triangle t.  ``planes`` is one ``patch_planes`` call's PlaneSet, a
+    row per patch, and ``borders`` each patch's border edges from one
+    grouped ``EdgeTable`` (``mesh.group_borders``); both are built on
+    first read, so a convex encode never builds the borders.  When some
+    patch has no plane (a non-finite corner), every read of ``planes``
+    raises as ``patch_planes`` does.  The table refers to its mesh
+    weakly: cached on the mesh, it makes no cycle.
+    """
+
+    def __init__(self, mesh, eps):
+        self.eps = eps
+        self.patches = coplanar_patches(mesh, *mesh.planes, eps)
+        self._mesh = weakref.proxy(mesh)
+
+    @functools.cached_property
+    def sizes(self):
+        return np.fromiter(map(len, self.patches), dtype=np.int64, count=len(self.patches))
+
+    @functools.cached_property
+    def labels(self):
+        labels = np.empty(int(self.sizes.sum()), dtype=np.int64)
+        order = np.fromiter(itertools.chain.from_iterable(self.patches), dtype=np.int64)
+        labels[order] = np.repeat(np.arange(len(self.patches)), self.sizes)
+        return labels
+
+    @functools.cached_property
+    def planes(self):
+        return patch_planes(self._mesh, self.patches, max(1.0, self._mesh.bbox_diagonal()))
+
+    @functools.cached_property
+    def borders(self):
+        return group_borders(self._mesh.triangles, self.labels, len(self.patches))
+
+
+def face_table(mesh, eps=None):
+    """The FaceTable of ``mesh`` at slack ``mesh.slack(eps)``, built once per slack."""
+    eps = mesh.slack(eps)
+    tables = mesh.face_tables
+    if eps not in tables:
+        tables[eps] = FaceTable(mesh, eps)
+    return tables[eps]
 
 
 def coplanar_patches(mesh, normals, offsets, eps, members=None):
@@ -488,7 +545,8 @@ def coplanar_patches(mesh, normals, offsets, eps, members=None):
     neighbour pairs are tested in one batch, each dot product rounding as
     the scalar ``normals[t] @ normals[nb]`` does.  Patches are the
     ``components`` of the coplanar pairs, run over the members alone,
-    sorted, smallest triangle first.
+    sorted, smallest triangle first; with no coplanar pair, as on a
+    hull, each member is its own patch and nothing is sorted.
     """
     nt = len(mesh.triangles)
     members = np.arange(nt) if members is None else np.unique(members).astype(int)
@@ -497,10 +555,10 @@ def coplanar_patches(mesh, normals, offsets, eps, members=None):
     p, q = np.compress(inside[p] & inside[q], (p, q), axis=1)
     dot = row_dots(normals[p], normals[q])
     flat = (dot >= math.cos(COPLANAR_ANGLE)) & (np.abs(offsets[p] - offsets[q]) <= eps)
+    if not flat.any():
+        return [[t] for t in members.tolist()]
     local = np.cumsum(inside) - 1  # a member's position in ``members``
     root = components(len(members), local[p[flat]], local[q[flat]])
-    if not len(root):
-        return []
     # each component's root is its least member, so a stable sort by root
     # lists the patches in order of their smallest triangle
     order = np.argsort(root, kind="stable")
@@ -530,9 +588,9 @@ def patch_planes(mesh, patches, scale):
         g = np.array([patches[r] for r in rows.tolist()], dtype=np.int64)
         t = mesh.triangles[g]
         p1, p2, p3 = v[t[..., 0]], v[t[..., 1]], v[t[..., 2]]
-        cross = np.cross(p2 - p1, p3 - p2)
-        a = 0.5 * np.linalg.norm(cross, axis=2)
-        directions[rows] = cross.sum(axis=1)
+        c = cross(p2 - p1, p3 - p2)
+        a = 0.5 * np.linalg.norm(c, axis=2)
+        directions[rows] = c.sum(axis=1)
         centroids[rows] = (
             ((p1 + p2 + p3) / 3.0 * a[:, :, None]).sum(axis=1) / a.sum(axis=1)[:, None]
         )

@@ -96,6 +96,19 @@ def angle_rows(w):
     return np.array(out, dtype=float).reshape(-1, 2)
 
 
+def cross(a, b):
+    """``np.cross(a, b)`` of float 3-vectors along the last axis, bit for bit.
+
+    The products and differences are np.cross's own, in its order, so
+    every component rounds the same; what goes is np.cross's axis
+    bookkeeping, which costs several times the arithmetic on the few
+    rows of one patch or loop.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def triangle_planes(p1, p2, p3):
     """Unit normals and offsets of the planes through triangle corners.
 
@@ -107,7 +120,7 @@ def triangle_planes(p1, p2, p3):
     scale; the first degenerate triangle raises DegenerateTriangle.
     """
     p1, p2, p3 = (np.asarray(p, dtype=float).reshape(-1, 3) for p in (p1, p2, p3))
-    c = np.cross(p2 - p1, p3 - p2)
+    c = cross(p2 - p1, p3 - p2)
     nsq = np.einsum("ij,ij->i", c, c)
     bad = np.flatnonzero(nsq <= EPS_AREA)
     if len(bad):

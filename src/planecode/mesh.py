@@ -12,7 +12,7 @@ SLACK_REL = 1e-7  # encode-side point-to-plane slack per unit of bounding-box di
 
 
 class TriangleMesh:
-    """Vertices plus triangles, with lazily built edge adjacency, planes and diagonal.
+    """Vertices plus triangles, with lazily built edges, planes, diagonal and face tables.
 
     ``vertices`` is an (V, 3) float array, ``triangles`` a (T, 3) int
     array.  Each triangle lists its corners counterclockwise as seen
@@ -55,6 +55,11 @@ class TriangleMesh:
         normals, offsets = triangle_planes(*self.triangle_corners())
         normals.flags.writeable = offsets.flags.writeable = False
         return normals, offsets
+
+    @functools.cached_property
+    def face_tables(self):
+        """Slack value -> this mesh's ``convex.FaceTable``, filled by ``convex.face_table``."""
+        return {}
 
     @property
     def is_edge_manifold(self):
@@ -177,6 +182,19 @@ class EdgeTable:
         one_way = (forward == 0) | (forward == self.size)
         s = self.start[one_way & (self.a[self.start] != self.b[self.start])]
         return self.a[s], self.b[s], self.owner[s]
+
+
+def group_borders(triangles, group, n):
+    """Per group of range(n), the (a, b) edges ``EdgeTable.border`` gives its triangles.
+
+    ``group`` labels each row of ``triangles``.  One grouped table serves
+    every group, and since the group is its first sort key, each group's
+    list is the one a table of that group's triangles alone would give.
+    """
+    a, b, owner = EdgeTable(triangles, group).border()
+    ends = np.searchsorted(np.asarray(group)[owner], np.arange(1, n + 1)).tolist()
+    a, b = a.tolist(), b.tolist()
+    return [list(zip(a[i:j], b[i:j])) for i, j in zip([0, *ends], ends)]
 
 
 def adjacency(n, i, j):

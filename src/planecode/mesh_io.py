@@ -1,7 +1,13 @@
 """Triangle mesh file readers and writers, plus storage accounting.
 
 Supports Wavefront OBJ (vertices and faces only) and STL in both ascii
-and binary flavors.  Polygonal OBJ faces are fan-triangulated.  STL
+and binary flavors.  Polygonal OBJ faces are fan-triangulated.  An OBJ
+text of nothing but ``v x y z`` and ``f a b c`` lines, comments and
+blank lines, as ``write_obj`` writes it, is read in one pass of a
+regular expression over the whole text, its tokens converted by the
+same ``float`` and ``int`` calls as the line parser's; any other text,
+and any plain one that would fail, goes to the line parser, which gives
+every error its text and line number.  STL
 soups are welded on exact coordinate equality, which is enough for
 files we wrote ourselves; use OBJ when vertex identity matters.  A NaN
 or infinite vertex coordinate is a ParseError naming its line (OBJ,
@@ -9,11 +15,13 @@ ascii STL) or facet (binary STL); STL facet normals are ignored.
 """
 
 import math
+import operator
+import re
 import struct
 
 import numpy as np
 
-from .convex import coplanar_patches
+from .convex import face_table
 from .errors import ParseError, UnsupportedFeature
 from .mesh import TriangleMesh, weld
 from .polygonize import SegmentedCode
@@ -61,7 +69,49 @@ def _sniff_stl(data):
     return "stl-binary"
 
 
+# a "v x y z" or "f a b c" line, a comment or a blank line, up to its LF
+_PLAIN_OBJ_LINE = re.compile(
+    r"^[ \t]*(?:([vf])([ \t]+\S+[ \t]+\S+[ \t]+\S+)[ \t]*|#.*)?\r?$", re.M
+)
+# the line breaks of str.splitlines other than LF and CR (which must start CR LF)
+_ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _parse_obj(text):
+    mesh = _parse_plain_obj(text)
+    return _parse_obj_lines(text) if mesh is None else mesh
+
+
+def _parse_plain_obj(text):
+    """The mesh of a plain OBJ text in one pass, or None for the line parser.
+
+    Plain means every line is ``v x y z``, ``f a b c``, a comment or
+    blank, the lines end in LF or CR LF, every vertex line comes
+    before every face line, the coordinates are finite and the indices
+    run from 1 to the vertex count.  Then the line parser would give
+    the same arrays from the same ``float`` and ``int`` calls.
+    """
+    if text.count("\r") != text.count("\r\n") or any(c in text for c in _ODD_BREAKS):
+        return None
+    rows = _PLAIN_OBJ_LINE.findall(text)
+    if len(rows) != text.count("\n") + 1:  # some line is not plain
+        return None
+    tags = "".join(map(operator.itemgetter(0), rows))
+    nv = len(tags.rstrip("f"))
+    if not nv or "f" in tags[:nv]:
+        return None
+    tokens = " ".join(map(operator.itemgetter(1), rows)).split()
+    try:
+        xyz = np.fromiter(map(float, tokens[:3 * nv]), dtype=float, count=3 * nv)
+        idx = np.fromiter(map(int, tokens[3 * nv:]), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if not (np.isfinite(xyz).all() and (idx >= 1).all() and (idx <= nv).all()):
+        return None
+    return TriangleMesh(xyz.reshape(-1, 3), (idx - 1).reshape(-1, 3))
+
+
+def _parse_obj_lines(text):
     verts = []
     tris = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -287,6 +337,7 @@ def count_coplanar_patches(mesh):
     """Number of maximal edge-connected coplanar triangle patches.
 
     Triangles are coplanar within ``mesh.slack()``, the slack that
-    ``encode_convex`` and ``polygonize_part`` merge patches with.
+    ``encode_convex`` and ``polygonize_part`` merge patches with; all
+    three read the mesh's one face table (``convex.face_table``).
     """
-    return len(coplanar_patches(mesh, *mesh.planes, mesh.slack()))
+    return len(face_table(mesh).patches)

@@ -10,9 +10,14 @@ simplification alike.  The cutting planes are stored already oriented
 so the part's own vertices sit in their closed negative half-spaces;
 they are used as stored for both part kinds.
 
-Face polygons are the coplanar patches of ``convex`` on one part's
-triangles, their rings chained from one grouped ``mesh.EdgeTable``;
-decoded part surfaces are fanned by ``mesh.fan``, joined by ``mesh.weld``.
+Face polygons are read from the mesh's one face table
+(``convex.face_table``), built once per encode: its whole-mesh coplanar
+patches, their planes from one ``patch_planes`` call and their border
+edges from one grouped ``mesh.EdgeTable``.  A part takes the patches
+lying wholly inside it as they are and chains their rings; only a patch
+that a part border cuts is merged again on the part's triangles.  A
+part's rim is read off the mesh's own edge table with a membership mask.
+Decoded part surfaces are fanned by ``mesh.fan``, joined by ``mesh.weld``.
 """
 
 import math
@@ -23,6 +28,7 @@ from .convex import (
     PlaneSet,
     coplanar_patches,
     decode_convex,
+    face_table,
     patch_planes,
 )
 from .errors import (
@@ -33,8 +39,8 @@ from .errors import (
     PartUndecodable,
     WeldMismatch,
 )
-from .geometry import TWO_PI, snapped_triplets
-from .mesh import EdgeTable, TriangleMesh, fan, weld
+from .geometry import TWO_PI, cross, snapped_triplets
+from .mesh import TriangleMesh, fan, group_borders, weld
 from .segmentation import PartKind, segment_mesh
 
 EPS_FIT_REL = 1e-9    # planarity: smallest singular value per unit of largest
@@ -94,26 +100,56 @@ class SegmentedCode:
 def polygonize_part(mesh, part, eps=None):
     """Merge edge-adjacent coplanar triangles of a part into polygons.
 
+    The faces are the part's coplanar patches, in order of their
+    smallest triangle.  A patch of the mesh's face table
+    (``convex.face_table``) lying wholly inside the part is one face,
+    with the table's plane row and border edges.  The triangles of the
+    patches that the part's border cuts are merged again on their own,
+    since such a patch may fall apart inside the part.
     Raises NonSimpleBoundary when a merged patch is not a disk (its
     boundary is more than one loop, or pinches at a vertex).
     """
-    normals, offsets = mesh.planes
-    patches = coplanar_patches(mesh, normals, offsets, mesh.slack(eps), members=part.triangles)
-    planes = patch_planes(mesh, patches, max(1.0, mesh.bbox_diagonal()))
+    table = face_table(mesh, eps)
+    members = np.unique(np.asarray(part.triangles, dtype=np.int64))
+    ids = table.labels[members]
+    count = np.bincount(ids, minlength=len(table.patches))
+    whole = np.flatnonzero(count == table.sizes).tolist()
+    faces = [(table.patches[k], k, table.borders[k]) for k in whole]
+    cut = members[count[ids] < table.sizes[ids]]
+    if len(cut):
+        pieces = coplanar_patches(mesh, *mesh.planes, table.eps, members=cut)
+        group = np.repeat(np.arange(len(pieces)), [len(g) for g in pieces])
+        borders = group_borders(mesh.triangles[np.concatenate(pieces)], group, len(pieces))
+        faces += [(piece, None, edges) for piece, edges in zip(pieces, borders)]
+        faces.sort(key=lambda face: face[0][0])
     return [
-        PolygonFace(plane, _patch_ring(loops), patch)
-        for plane, patch, loops in zip(planes, patches, _border_loops(mesh, patches))
+        PolygonFace(row, _patch_ring(_chain_loops(edges)), list(patch))
+        for (patch, _, edges), row in zip(faces, _face_rows(mesh, table, faces))
     ]
 
 
-def _border_loops(mesh, groups):
-    """Per group in turn, the loops its ``EdgeTable.border`` edges chain into."""
-    group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    tris = mesh.triangles[np.concatenate(groups).astype(int)]
-    a, b, owner = EdgeTable(tris, group).border()
-    cuts = np.searchsorted(group[owner], np.arange(1, len(groups)))
-    for x, y in zip(np.split(a, cuts), np.split(b, cuts)):
-        yield _chain_loops(zip(x.tolist(), y.tolist()))
+def _face_rows(mesh, table, faces):
+    """Each face's (nu, phi, h): a table row, or a row of one ``patch_planes`` call.
+
+    A face that is a whole patch of the table takes the table's row.
+    When some patch of the mesh has no plane (``_table_planes``), the
+    one call measures every face of the part, so the part raises just
+    as it would measured on its own.
+    """
+    planes = _table_planes(table)
+    own = [k is None or planes is None for _, k, _ in faces]
+    if any(own):
+        patches = [patch for (patch, _, _), o in zip(faces, own) if o]
+        rows = iter(patch_planes(mesh, patches, max(1.0, mesh.bbox_diagonal())))
+    return [next(rows) if o else planes[k] for (_, k, _), o in zip(faces, own)]
+
+
+def _table_planes(table):
+    """The table's PlaneSet, or None when some patch has no plane (a non-finite corner)."""
+    try:
+        return table.planes
+    except (GeometryError, ValueError):
+        return None
 
 
 def _patch_ring(loops):
@@ -165,7 +201,7 @@ def boundary_planes_for_part(mesh, part, eps=None):
     scale = max(1.0, mesh.bbox_diagonal())
     part_verts = mesh.vertices[np.unique(mesh.triangles[part.triangles])]
     planes = []
-    for loop in next(_border_loops(mesh, [part.triangles])):
+    for loop in _chain_loops(_rim(mesh, part.triangles)):
         corners = _fuse_collinear(mesh.vertices[np.asarray(loop)])
         normal, centroid, sv = _fit_svd(corners)
         if sv[2] <= EPS_FIT_REL * max(sv[0], 1.0):
@@ -178,6 +214,27 @@ def boundary_planes_for_part(mesh, part, eps=None):
     return PlaneSet(snapped_triplets([n for n, _ in planes], offsets, scale=scale))
 
 
+def _rim(mesh, triangles):
+    """Directed edges (a, b) of the triangles' open boundary, in ``EdgeTable.border`` order.
+
+    Read off the mesh's own edge table: an edge is on the rim when the
+    listed triangles walk it, and never both ways, so an edge that the
+    whole mesh walks once, as on an open mesh, is on it too.  Each run
+    gives its edge once, as the listed triangles walk it.
+    """
+    e = mesh.edges
+    inside = np.zeros(len(mesh.triangles), dtype=bool)
+    inside[triangles] = True
+    mine = inside[e.owner]
+    count = np.add.reduceat(mine, e.start)
+    forward = np.add.reduceat(mine & (e.a < e.b), e.start)
+    a, b = e.a[e.start], e.b[e.start]
+    keep = (count > 0) & ((forward == 0) | (forward == count)) & (a != b)
+    lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+    up = forward[keep] > 0
+    return zip(np.where(up, lo, hi).tolist(), np.where(up, hi, lo).tolist())
+
+
 def _fuse_collinear(points):
     """The loop's corners whose two sides are not collinear, in loop order.
 
@@ -187,7 +244,7 @@ def _fuse_collinear(points):
     d1 = points - np.roll(points, 1, axis=0)
     d2 = np.roll(points, -1, axis=0) - points
     lim = EPS_LINE_REL * np.linalg.norm(d1, axis=1) * np.linalg.norm(d2, axis=1)
-    keep = np.linalg.norm(np.cross(d1, d2), axis=1) > lim
+    keep = np.linalg.norm(cross(d1, d2), axis=1) > lim
     if np.count_nonzero(keep) < 3:
         raise BoundaryNotCuttable("boundary loop collapses to a line")
     return points[keep]
@@ -274,7 +331,7 @@ def _pencil_plane(p0, p1, part_verts, scale):
     axis[int(np.argmin(np.abs(d)))] = 1.0
     u = axis - (axis @ d) * d
     u /= np.linalg.norm(u)
-    v = np.cross(d, u)
+    v = cross(d, u)
     rel = part_verts - p0
     a = rel @ u
     b = rel @ v
@@ -321,15 +378,31 @@ def encode_segmented(mesh, eps=None):
     producing a code that cannot be read back.
     """
     parts = segment_mesh(mesh, eps=eps)
+    table = face_table(mesh, eps)
     coded = []
     for i, part in enumerate(parts):
-        faces = polygonize_part(mesh, part, eps=eps)
-        face_planes = PlaneSet([f.plane for f in faces]).sorted_canonical()
+        face_planes = _face_planes(table, polygonize_part(mesh, part, eps=eps))
         boundary = boundary_planes_for_part(mesh, part, eps=eps)
         code = PartCode(part.kind, face_planes, boundary)
         decode_part(code, i, eps=eps)
         coded.append(code)
     return SegmentedCode(coded)
+
+
+def _face_planes(table, faces):
+    """The faces' planes, sorted canonically: table rows, sliced, where a face is a whole patch.
+
+    A face with fewer triangles than its first triangle's patch is a
+    piece of a patch that a part border cuts, and brings its own row, as
+    every face does when the table has no planes.
+    """
+    planes = _table_planes(table)
+    if planes is None:
+        return PlaneSet([f.plane for f in faces]).sorted_canonical()
+    ids = table.labels[[f.triangles[0] for f in faces]]
+    whole = table.sizes[ids] == [len(f.triangles) for f in faces]
+    own = PlaneSet([f.plane for f, w in zip(faces, whole.tolist()) if not w])
+    return PlaneSet.concatenate([planes[ids[whole]], own]).sorted_canonical()
 
 
 def decode_part(part, index, eps=None):

@@ -10,6 +10,7 @@ from planecode.geometry import (
     TWO_PI,
     angle_rows,
     check_triplets,
+    cross,
     snapped_triplets,
     triangle_planes,
 )
@@ -175,3 +176,22 @@ def test_snapped_triplets_offset_threshold_scales():
     # at scale 1e6 an offset of 1e-8 counts as dust, at scale 1 it does not
     assert snapped_triplets([[0, 0, 1.0]], [1e-8], scale=1e6)[0, 2] == 0.0
     assert snapped_triplets([[0, 0, 1.0]], [1e-8], scale=1.0)[0, 2] == 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(width=64), min_size=6, max_size=6),
+    st.integers(0, 3),
+)
+def test_cross_rounds_as_np_cross(values, rows):
+    a = np.array(values[:3])
+    b = np.array(values[3:])
+    with np.errstate(all="ignore"):
+        if rows:
+            # rows of signed, scaled copies against one vector and against rows
+            a = np.stack([a * (-2.0) ** k for k in range(rows)])
+            for other in (b, np.stack([b[::-1] if k % 2 else b for k in range(rows)])):
+                assert cross(a, other).tobytes() == np.cross(a, other).tobytes()
+        got, want = cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

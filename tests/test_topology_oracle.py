@@ -33,8 +33,9 @@ from planecode import (
 from planecode.convex import COPLANAR_ANGLE, PlaneSet, coplanar_patches
 from planecode.errors import NonSimpleBoundary
 from planecode.geometry import triangle_planes
-from planecode.mesh import EdgeTable, components
-from planecode.polygonize import _border_loops, boundary_planes_for_part, polygonize_part
+from planecode.mesh import EdgeTable, components, group_borders
+from planecode.polygonize import _chain_loops as table_chain_loops
+from planecode.polygonize import boundary_planes_for_part, polygonize_part
 from planecode.segmentation import MeshPart, PartKind
 from planecode.simplify import _face_adjacency
 
@@ -237,19 +238,13 @@ def oracle_loops(mesh, group):
 
 
 def table_loops(mesh, groups):
-    """Per group, its loops or its error, chained from one grouped table.
-
-    The chaining stops at a group's error, so the groups after it are
-    read from a new table of their own.
-    """
-    out = []
-    while len(out) < len(groups):
-        loops = _border_loops(mesh, groups[len(out):])
-        for _ in groups[len(out):]:
-            out.append(outcome(next, loops))
-            if isinstance(out[-1], tuple):
-                break
-    return out
+    """Per group, its loops or its error, chained from one grouped table's borders."""
+    group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    tris = mesh.triangles[np.array([t for g in groups for t in g], dtype=np.int64)]
+    return [
+        outcome(table_chain_loops, edges)
+        for edges in group_borders(tris, group, len(groups))
+    ]
 
 
 def assert_same_loops(mesh, group, got):
