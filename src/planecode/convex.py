@@ -21,11 +21,13 @@ vertices, so incidence never depends on a distance tolerance.
 This module also holds the pieces the segmented codec shares: coplanar
 patches as components of coplanar neighbours (``coplanar_patches``), the
 area-weighted plane of a patch (``patch_planes``), and the face table that
-holds both for a whole mesh (``FaceTable``).  ``face_table`` builds one
-table per mesh and slack and caches it on the mesh, so ``encode_convex``,
+holds both, with the patches' borders, for a set of triangles
+(``FaceTable``).  ``face_table`` builds the whole mesh's table once per
+mesh and slack and caches it on the mesh, so ``encode_convex``,
 ``mesh_io.count_coplanar_patches`` and every part of a segmented encode
 read one set of patches, one ``patch_planes`` call's rows and, when a part
-asks, one grouped edge table's patch borders.  The part decode that
+asks, one grouped edge table's patch borders.  A part that cuts a patch
+builds a table of its own triangles instead.  The part decode that
 negates pseudo-concave faces lives in ``polygonize.decode_part``.
 """
 
@@ -427,17 +429,15 @@ def _rings(normals, cones, plane, vert):
     closer than coordinate rounding.  Each ring then starts at its
     smallest vertex index.  Returns a dict from plane to ring.
 
-    The basis is built once per plane, with v written out as np.cross's
-    formula, so it rounds exactly as a basis built per pair would.
+    The basis is built once per plane, with v from ``cross``, so it
+    rounds exactly as a basis built per pair would.
     """
     w = normals
     at = (np.arange(len(w)), np.argmin(np.abs(w), axis=1))
     u = -w * w[at][:, None]
     u[at] += 1.0
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    w0, w1, w2 = w.T
-    u0, u1, u2 = u.T
-    v = np.stack([w1 * u2 - w2 * u1, w2 * u0 - w0 * u2, w0 * u1 - w1 * u0], axis=1)
+    v = cross(w, u)
     c = cones[vert]
     ang = np.arctan2((c * v[plane]).sum(axis=1), (c * u[plane]).sum(axis=1))
     order = np.lexsort((ang, plane))
@@ -488,23 +488,25 @@ def encode_convex(mesh, eps=None):
 
 
 class FaceTable:
-    """A mesh's maximal coplanar patches at one slack, with their planes and borders.
+    """The maximal coplanar patches of a set of triangles, with their planes and borders.
 
-    ``patches`` is ``coplanar_patches`` over the whole mesh: each patch's
-    triangles in increasing order, the patches in order of their smallest
-    triangle.  ``sizes`` holds the patch sizes and ``labels[t]`` the patch
-    of triangle t.  ``planes`` is one ``patch_planes`` call's PlaneSet, a
-    row per patch, and ``borders`` each patch's border edges from one
-    grouped ``EdgeTable`` (``mesh.group_borders``); both are built on
-    first read, so a convex encode never builds the borders.  When some
-    patch has no plane (a non-finite corner), every read of ``planes``
-    raises as ``patch_planes`` does.  The table refers to its mesh
-    weakly: cached on the mesh, it makes no cycle.
+    ``patches`` is ``coplanar_patches`` over the mesh's triangles, or over
+    ``members`` alone: each patch's triangles in increasing order, the
+    patches in order of their smallest triangle.  ``sizes`` holds the
+    patch sizes and ``labels[t]`` the patch of triangle t, or -1 for a
+    triangle outside the table.  ``planes`` is one ``patch_planes``
+    call's PlaneSet, a row per patch, and ``borders`` each patch's border
+    edges from one grouped ``EdgeTable`` of the patches' triangles
+    (``mesh.group_borders``); both are built on first read, so a convex
+    encode never builds the borders.  When some patch has no plane (a
+    non-finite corner), every read of ``planes`` raises as
+    ``patch_planes`` does.  The table refers to its mesh weakly: cached
+    on the mesh, it makes no cycle.
     """
 
-    def __init__(self, mesh, eps):
+    def __init__(self, mesh, eps, members=None):
         self.eps = eps
-        self.patches = coplanar_patches(mesh, *mesh.planes, eps)
+        self.patches = coplanar_patches(mesh, *mesh.planes, eps, members=members)
         self._mesh = weakref.proxy(mesh)
 
     @functools.cached_property
@@ -512,10 +514,16 @@ class FaceTable:
         return np.fromiter(map(len, self.patches), dtype=np.int64, count=len(self.patches))
 
     @functools.cached_property
-    def labels(self):
-        labels = np.empty(int(self.sizes.sum()), dtype=np.int64)
+    def _grouped(self):
+        """The patches' triangles back to back, and the patch of each."""
         order = np.fromiter(itertools.chain.from_iterable(self.patches), dtype=np.int64)
-        labels[order] = np.repeat(np.arange(len(self.patches)), self.sizes)
+        return order, np.repeat(np.arange(len(self.patches)), self.sizes)
+
+    @functools.cached_property
+    def labels(self):
+        order, group = self._grouped
+        labels = np.full(len(self._mesh.triangles), -1, dtype=np.int64)
+        labels[order] = group
         return labels
 
     @functools.cached_property
@@ -524,7 +532,8 @@ class FaceTable:
 
     @functools.cached_property
     def borders(self):
-        return group_borders(self._mesh.triangles, self.labels, len(self.patches))
+        order, group = self._grouped
+        return group_borders(self._mesh.triangles[order], group, len(self.patches))
 
 
 def face_table(mesh, eps=None):

@@ -1,4 +1,10 @@
-"""Triangle surfaces, the one edge table and component routine, the weld and the fan."""
+"""Triangle surfaces, the one edge table and component routine, the weld and the fan.
+
+The edge table also holds the one border rule: an edge is on the border
+of a set of rings when they walk it one way only.  It gives each coplanar
+patch its outline (``group_borders``) and each segmented part its rim
+(``EdgeTable.border`` with the part's triangles).
+"""
 
 import functools
 import itertools
@@ -6,7 +12,7 @@ import itertools
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import triangle_planes
+from .geometry import cross, triangle_planes
 
 SLACK_REL = 1e-7  # encode-side point-to-plane slack per unit of bounding-box diagonal
 
@@ -111,7 +117,7 @@ class TriangleMesh:
         if len(self.triangles) == 0:
             return 0.0
         p1, p2, p3 = self.triangle_corners()
-        cr = np.cross(p2 - p1, p3 - p1)
+        cr = cross(p2 - p1, p3 - p1)
         return float(0.5 * np.linalg.norm(cr, axis=1).sum())
 
     def volume(self):
@@ -123,7 +129,7 @@ class TriangleMesh:
         if len(self.triangles) == 0:
             return 0.0
         p1, p2, p3 = self.triangle_corners()
-        return float(np.einsum("ij,ij->i", p1, np.cross(p2, p3)).sum() / 6.0)
+        return float(np.einsum("ij,ij->i", p1, cross(p2, p3)).sum() / 6.0)
 
     # -- transforms ----------------------------------------------------
 
@@ -155,6 +161,7 @@ class EdgeTable:
         nxt = np.arange(1, len(a) + 1)
         nxt[ends - 1] = ends - sizes  # each ring's last edge closes it
         b = a[nxt]
+        self.ring_count = len(sizes)
         owner = np.repeat(np.arange(len(sizes)), sizes)
         keys = [np.maximum(a, b), np.minimum(a, b)]
         if group is not None:
@@ -176,11 +183,26 @@ class EdgeTable:
         j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
         return self.owner[i], self.owner[j]
 
-    def border(self):
-        """(a, b, owner) of each edge whose reverse no ring of its group walks, once."""
-        forward = np.add.reduceat(self.a < self.b, self.start)
-        one_way = (forward == 0) | (forward == self.size)
+    def border(self, rings=None):
+        """(a, b, owner) of each edge whose reverse no ring of its group walks, once.
+
+        With ``rings``, indices of some of the rings, only their edges
+        count: an edge they walk one way only is given as they walk it,
+        owned by the first of them in its run, whether or not other rings
+        walk it too, and an edge that only other rings walk is not given.
+        """
+        up, count = self.a < self.b, self.size
+        if rings is not None:
+            walked = np.zeros(self.ring_count, dtype=bool)
+            walked[rings] = True
+            walked = walked[self.owner]
+            up, count = up & walked, np.add.reduceat(walked, self.start)
+        forward = np.add.reduceat(up, self.start)
+        one_way = (count > 0) & ((forward == 0) | (forward == count))
         s = self.start[one_way & (self.a[self.start] != self.b[self.start])]
+        if rings is not None:
+            at = np.flatnonzero(walked)
+            s = at[np.searchsorted(at, s)]  # the first walked edge of each run
         return self.a[s], self.b[s], self.owner[s]
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .convex import face_table
 from .errors import ParseError, UnsupportedFeature
+from .geometry import cross
 from .mesh import TriangleMesh, weld
 from .polygonize import SegmentedCode
 
@@ -238,10 +239,10 @@ def _parse_stl_binary(data):
 
 def _facet_normals(p1, p2, p3):
     """Unit facet normals for STL; zero for degenerate triangles."""
-    cross = np.cross(p2 - p1, p3 - p2)
-    norms = np.linalg.norm(cross, axis=1)
+    c = cross(p2 - p1, p3 - p2)
+    norms = np.linalg.norm(c, axis=1)
     norms[norms == 0] = 1.0
-    return cross / norms[:, None]
+    return c / norms[:, None]
 
 
 def write_stl_binary(mesh, header=b""):

@@ -10,27 +10,23 @@ simplification alike.  The cutting planes are stored already oriented
 so the part's own vertices sit in their closed negative half-spaces;
 they are used as stored for both part kinds.
 
-Face polygons are read from the mesh's one face table
-(``convex.face_table``), built once per encode: its whole-mesh coplanar
-patches, their planes from one ``patch_planes`` call and their border
-edges from one grouped ``mesh.EdgeTable``.  A part takes the patches
-lying wholly inside it as they are and chains their rings; only a patch
-that a part border cuts is merged again on the part's triangles.  A
-part's rim is read off the mesh's own edge table with a membership mask.
-Decoded part surfaces are fanned by ``mesh.fan``, joined by ``mesh.weld``.
+A part reads all its face polygons from one face table
+(``convex.FaceTable``): its coplanar patches, their planes from one
+``patch_planes`` call and their border edges from one grouped
+``mesh.EdgeTable``.  That is the mesh's own table (``convex.face_table``),
+built once per encode, when every patch the part touches lies wholly
+inside it; otherwise, when a part border cuts a patch, it is a table of
+the part's own triangles.  A part's rim is the border of its triangles
+in the mesh's edge table (``EdgeTable.border``), the rule that also
+outlines each patch.  Decoded part surfaces are fanned by ``mesh.fan``,
+joined by ``mesh.weld``.
 """
 
 import math
 
 import numpy as np
 
-from .convex import (
-    PlaneSet,
-    coplanar_patches,
-    decode_convex,
-    face_table,
-    patch_planes,
-)
+from .convex import FaceTable, PlaneSet, decode_convex, face_table
 from .errors import (
     BoundaryNotCuttable,
     EmptyRegion,
@@ -40,7 +36,7 @@ from .errors import (
     WeldMismatch,
 )
 from .geometry import TWO_PI, cross, snapped_triplets
-from .mesh import TriangleMesh, fan, group_borders, weld
+from .mesh import TriangleMesh, fan, weld
 from .segmentation import PartKind, segment_mesh
 
 EPS_FIT_REL = 1e-9    # planarity: smallest singular value per unit of largest
@@ -101,55 +97,36 @@ def polygonize_part(mesh, part, eps=None):
     """Merge edge-adjacent coplanar triangles of a part into polygons.
 
     The faces are the part's coplanar patches, in order of their
-    smallest triangle.  A patch of the mesh's face table
-    (``convex.face_table``) lying wholly inside the part is one face,
-    with the table's plane row and border edges.  The triangles of the
-    patches that the part's border cuts are merged again on their own,
-    since such a patch may fall apart inside the part.
+    smallest triangle, read from one face table: the mesh's own
+    (``convex.face_table``) when every patch the part touches lies
+    wholly inside it and every patch of the mesh has a plane, else a
+    table of the part's own triangles, since a patch that the part's
+    border cuts may fall apart inside the part.
     Raises NonSimpleBoundary when a merged patch is not a disk (its
     boundary is more than one loop, or pinches at a vertex).
     """
     table = face_table(mesh, eps)
     members = np.unique(np.asarray(part.triangles, dtype=np.int64))
-    ids = table.labels[members]
-    count = np.bincount(ids, minlength=len(table.patches))
-    whole = np.flatnonzero(count == table.sizes).tolist()
-    faces = [(table.patches[k], k, table.borders[k]) for k in whole]
-    cut = members[count[ids] < table.sizes[ids]]
-    if len(cut):
-        pieces = coplanar_patches(mesh, *mesh.planes, table.eps, members=cut)
-        group = np.repeat(np.arange(len(pieces)), [len(g) for g in pieces])
-        borders = group_borders(mesh.triangles[np.concatenate(pieces)], group, len(pieces))
-        faces += [(piece, None, edges) for piece, edges in zip(pieces, borders)]
-        faces.sort(key=lambda face: face[0][0])
+    count = np.bincount(table.labels[members], minlength=len(table.patches))
+    ids = np.flatnonzero(count).tolist()
+    if (count[ids] < table.sizes[ids]).any() or not _has_planes(table):
+        table = FaceTable(mesh, table.eps, members)
+        ids = range(len(table.patches))
     return [
-        PolygonFace(row, _patch_ring(_chain_loops(edges)), list(patch))
-        for (patch, _, edges), row in zip(faces, _face_rows(mesh, table, faces))
+        PolygonFace(
+            table.planes[k], _patch_ring(_chain_loops(table.borders[k])), list(table.patches[k])
+        )
+        for k in ids
     ]
 
 
-def _face_rows(mesh, table, faces):
-    """Each face's (nu, phi, h): a table row, or a row of one ``patch_planes`` call.
-
-    A face that is a whole patch of the table takes the table's row.
-    When some patch of the mesh has no plane (``_table_planes``), the
-    one call measures every face of the part, so the part raises just
-    as it would measured on its own.
-    """
-    planes = _table_planes(table)
-    own = [k is None or planes is None for _, k, _ in faces]
-    if any(own):
-        patches = [patch for (patch, _, _), o in zip(faces, own) if o]
-        rows = iter(patch_planes(mesh, patches, max(1.0, mesh.bbox_diagonal())))
-    return [next(rows) if o else planes[k] for (_, k, _), o in zip(faces, own)]
-
-
-def _table_planes(table):
-    """The table's PlaneSet, or None when some patch has no plane (a non-finite corner)."""
+def _has_planes(table):
+    """Whether every patch of the table has a plane (none has a non-finite corner)."""
     try:
-        return table.planes
+        table.planes
     except (GeometryError, ValueError):
-        return None
+        return False
+    return True
 
 
 def _patch_ring(loops):
@@ -201,7 +178,8 @@ def boundary_planes_for_part(mesh, part, eps=None):
     scale = max(1.0, mesh.bbox_diagonal())
     part_verts = mesh.vertices[np.unique(mesh.triangles[part.triangles])]
     planes = []
-    for loop in _chain_loops(_rim(mesh, part.triangles)):
+    a, b, _ = mesh.edges.border(part.triangles)
+    for loop in _chain_loops(zip(a.tolist(), b.tolist())):
         corners = _fuse_collinear(mesh.vertices[np.asarray(loop)])
         normal, centroid, sv = _fit_svd(corners)
         if sv[2] <= EPS_FIT_REL * max(sv[0], 1.0):
@@ -212,27 +190,6 @@ def boundary_planes_for_part(mesh, part, eps=None):
             planes.extend(_cut_warped_loop(corners, part_verts, eps, scale))
     offsets = [h for _, h in planes]
     return PlaneSet(snapped_triplets([n for n, _ in planes], offsets, scale=scale))
-
-
-def _rim(mesh, triangles):
-    """Directed edges (a, b) of the triangles' open boundary, in ``EdgeTable.border`` order.
-
-    Read off the mesh's own edge table: an edge is on the rim when the
-    listed triangles walk it, and never both ways, so an edge that the
-    whole mesh walks once, as on an open mesh, is on it too.  Each run
-    gives its edge once, as the listed triangles walk it.
-    """
-    e = mesh.edges
-    inside = np.zeros(len(mesh.triangles), dtype=bool)
-    inside[triangles] = True
-    mine = inside[e.owner]
-    count = np.add.reduceat(mine, e.start)
-    forward = np.add.reduceat(mine & (e.a < e.b), e.start)
-    a, b = e.a[e.start], e.b[e.start]
-    keep = (count > 0) & ((forward == 0) | (forward == count)) & (a != b)
-    lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-    up = forward[keep] > 0
-    return zip(np.where(up, lo, hi).tolist(), np.where(up, hi, lo).tolist())
 
 
 def _fuse_collinear(points):
@@ -378,31 +335,15 @@ def encode_segmented(mesh, eps=None):
     producing a code that cannot be read back.
     """
     parts = segment_mesh(mesh, eps=eps)
-    table = face_table(mesh, eps)
     coded = []
     for i, part in enumerate(parts):
-        face_planes = _face_planes(table, polygonize_part(mesh, part, eps=eps))
+        faces = polygonize_part(mesh, part, eps=eps)
+        face_planes = PlaneSet([f.plane for f in faces]).sorted_canonical()
         boundary = boundary_planes_for_part(mesh, part, eps=eps)
         code = PartCode(part.kind, face_planes, boundary)
         decode_part(code, i, eps=eps)
         coded.append(code)
     return SegmentedCode(coded)
-
-
-def _face_planes(table, faces):
-    """The faces' planes, sorted canonically: table rows, sliced, where a face is a whole patch.
-
-    A face with fewer triangles than its first triangle's patch is a
-    piece of a patch that a part border cuts, and brings its own row, as
-    every face does when the table has no planes.
-    """
-    planes = _table_planes(table)
-    if planes is None:
-        return PlaneSet([f.plane for f in faces]).sorted_canonical()
-    ids = table.labels[[f.triangles[0] for f in faces]]
-    whole = table.sizes[ids] == [len(f.triangles) for f in faces]
-    own = PlaneSet([f.plane for f, w in zip(faces, whole.tolist()) if not w])
-    return PlaneSet.concatenate([planes[ids[whole]], own]).sorted_canonical()
 
 
 def decode_part(part, index, eps=None):

@@ -9,7 +9,7 @@ convex shell quads before any concave feature quads.
 import numpy as np
 
 from .convex import PlaneSet
-from .geometry import row_dots
+from .geometry import cross, row_dots
 from .mesh import TriangleMesh
 
 
@@ -184,7 +184,7 @@ def random_hull_mesh(rng, n_points):
     tris = []
     for simplex, eq in zip(hull.simplices, hull.equations):
         a, b, c = simplex
-        n = np.cross(pts[b] - pts[a], pts[c] - pts[b])
+        n = cross(pts[b] - pts[a], pts[c] - pts[b])
         if n @ eq[:3] < 0:
             b, c = c, b
         tris.append((remap[a], remap[b], remap[c]))

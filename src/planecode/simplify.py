@@ -23,7 +23,7 @@ import numpy as np
 
 from .convex import PlaneSet, decode_convex
 from .errors import GeometryError, OverSimplified
-from .geometry import angle_between, row_dots, snapped_triplets
+from .geometry import angle_between, cross, row_dots, snapped_triplets
 from .mesh import EdgeTable
 from .polygonize import PartCode, SegmentedCode, decode_part
 
@@ -50,11 +50,9 @@ def _face_measurements(poly, n_planes):
     Each ring is fanned from its first vertex.  Rings of one length are
     measured together, as one (rings, triangles) batch whose per-ring
     sums run in the same order as a single ring's would.  The cross
-    products are written out as np.cross's formula and their norms as
-    sqrt(c0*c0 + c1*c1 + c2*c2), which round as ``np.cross`` and
-    ``np.linalg.norm(..., axis=2)`` do.  A ring with
-    no area (fewer than three vertices, or collinear) gets area zero
-    and the mean of its vertices.
+    products come from ``cross``, which rounds as ``np.cross`` does.  A
+    ring with no area (fewer than three vertices, or collinear) gets
+    area zero and the mean of its vertices.
     """
     areas = np.zeros(n_planes)
     centroids = np.zeros((n_planes, 3))
@@ -65,12 +63,7 @@ def _face_measurements(poly, n_planes):
         pts = poly.vertices[np.array([poly.faces[r] for r in rows.tolist()])]
         if k >= 3:
             v0 = pts[:, :1]
-            x1, y1, z1 = np.moveaxis(pts[:, 1:-1] - v0, 2, 0)
-            x2, y2, z2 = np.moveaxis(pts[:, 2:] - v0, 2, 0)
-            c0 = y1 * z2 - z1 * y2
-            c1 = z1 * x2 - x1 * z2
-            c2 = x1 * y2 - y1 * x2
-            tri = 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+            tri = 0.5 * np.linalg.norm(cross(pts[:, 1:-1] - v0, pts[:, 2:] - v0), axis=2)
             total = tri.sum(axis=1)
             centers = (v0 + pts[:, 1:-1] + pts[:, 2:]) / 3.0
             spans = total > 0.0

@@ -6,11 +6,12 @@ The oracle keeps the earlier ``convex.coplanar_patches``,
 patches, computed their planes, chained their rings from a grouped edge
 table of its own and built one more table for its rim.  Today one face
 table per mesh and slack (``convex.face_table``) holds the whole-mesh
-patches, their planes and their borders; a part reads the patches lying
-wholly inside it and merges again only those its border cuts, and its
-rim comes from the mesh's own edge table.  Faces (plane rows bit for
-bit, rings, triangles), cutting planes, the encoded parts' face plane
-sets and ``encode_segmented``'s bytes must equal the oracle's, or raise
+patches, their planes and their borders; a part reads every face from
+that table when it cuts no patch, and otherwise from a ``FaceTable`` of
+its own triangles, which is the oracle's computation, and its rim comes
+from the mesh's own edge table.  Faces (plane rows bit for bit, rings,
+triangles), cutting planes, the face plane sets built from the faces'
+rows and ``encode_segmented``'s bytes must equal the oracle's, or raise
 the same error class and text from the same part and stage, on the
 fixtures, their g1-g8 grid cuts and float32 STL copies, every
 benchmark probe shape (among them patches that cross part borders),
@@ -47,7 +48,6 @@ from planecode.polygonize import (
     PolygonFace,
     _chain_loops,
     _cut_warped_loop,
-    _face_planes,
     _fit_svd,
     _fuse_collinear,
     _oriented_cut,
@@ -179,7 +179,8 @@ def assert_parts_match(mesh, parts, eps=None):
         assert summary(new, face_summary) == summary(old, face_summary), (i, "polygonize")
         if old[0] == "ok":
             want = PlaneSet([f.plane for f in old[1]]).sorted_canonical()
-            got = _face_planes(face_table(fresh, eps), new[1])
+            # the face set encode_segmented builds from the faces' rows
+            got = PlaneSet([f.plane for f in new[1]]).sorted_canonical()
             assert plane_summary(got) == plane_summary(want), (i, "face planes")
             table = face_table(fresh, eps)
             members = np.unique(np.asarray(part.triangles, dtype=np.int64))
@@ -436,7 +437,6 @@ def test_a_segmented_encode_merges_the_whole_mesh_once(monkeypatch):
         return coplanar_patches(mesh, normals, offsets, eps, members=members)
 
     monkeypatch.setattr(convex, "coplanar_patches", counted)
-    monkeypatch.setattr(polygonize, "coplanar_patches", counted)
     mesh = grid_cut(shapes.two_notch_box(), 3)
     assert len(segment_mesh(mesh)) > 1
     encode_segmented(mesh)
@@ -448,5 +448,46 @@ def test_a_segmented_encode_merges_the_whole_mesh_once(monkeypatch):
     fresh = TriangleMesh(mesh.vertices, mesh.triangles)
     for part in segment_mesh(fresh):
         outcome(polygonize_part, fresh, part)
-    # the parts cut patches here, and only those are merged again
+    # the parts cut patches here, and each such part merges its own triangles
     assert calls[0] is True and len(calls) > 1 and not any(calls[1:])
+
+
+def count_tables(monkeypatch):
+    """A list that gets one entry per FaceTable built: whether it is a whole-mesh table."""
+    built = []
+
+    class Counted(convex.FaceTable):
+        def __init__(self, mesh, eps, members=None):
+            built.append(members is None)
+            super().__init__(mesh, eps, members)
+
+    monkeypatch.setattr(convex, "FaceTable", Counted)
+    monkeypatch.setattr(polygonize, "FaceTable", Counted)
+    return built
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["notched_box", "two_notch_box"])
+def test_an_encode_with_no_cut_patch_builds_one_face_table(monkeypatch, name, g):
+    built = count_tables(monkeypatch)
+    mesh = CORPUS["%s_g%d" % (name, g)]
+    fresh = TriangleMesh(mesh.vertices, mesh.triangles)
+    assert len(encode_segmented(fresh)) > 1
+    assert built == [True]
+
+
+# parts of each probe, and how many of them cut a whole-mesh patch
+CUTTING_PARTS = {"l_prism_g2": (2, 2), "staircase_k3": (6, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(CUTTING_PARTS))
+def test_each_part_that_cuts_a_patch_builds_one_more_face_table(monkeypatch, name):
+    built = count_tables(monkeypatch)
+    mesh = CORPUS[name]
+    fresh = TriangleMesh(mesh.vertices, mesh.triangles)
+    parts = segment_mesh(fresh)
+    for part in parts:
+        outcome(polygonize_part, fresh, part)
+    n_parts, n_cutting = CUTTING_PARTS[name]
+    assert len(parts) == n_parts
+    assert built == [True] + [False] * n_cutting

@@ -13,7 +13,7 @@ import pytest
 
 from planecode import segment_mesh
 from planecode.errors import BoundaryNotCuttable
-from planecode.polygonize import EPS_LINE_REL, _chain_loops, _fuse_collinear, _rim
+from planecode.polygonize import EPS_LINE_REL, _chain_loops, _fuse_collinear
 
 from test_segment_oracle import GRID_FIXTURES, grid_cut, via_float32_stl
 
@@ -42,7 +42,8 @@ def assert_same_corners(points):
 def part_loops(mesh):
     """Corner arrays of every boundary loop of every part of the mesh."""
     for part in segment_mesh(mesh):
-        for loop in _chain_loops(_rim(mesh, part.triangles)):
+        a, b, _ = mesh.edges.border(part.triangles)
+        for loop in _chain_loops(zip(a.tolist(), b.tolist())):
             yield mesh.vertices[np.asarray(loop)]
 
 

@@ -4,8 +4,9 @@ The oracle below keeps the earlier routines verbatim: the
 ``TriangleMesh._edge_map`` dict with the flags, ``neighbors`` and
 ``boundary_edges`` built on it (``OracleMesh``), ``polygonize``'s
 ``_border_edges`` set with its ``_chain_loops`` and ``_patch_ring``,
-the stack flood of ``convex.coplanar_patches`` and the dict
-``simplify._face_adjacency``.  Every answer read from
+the membership mask of ``polygonize._rim`` that read a part's rim off
+the mesh's edge table, the stack flood of ``convex.coplanar_patches``
+and the dict ``simplify._face_adjacency``.  Every answer read from
 ``mesh.EdgeTable`` and ``mesh.components`` must equal the oracle's on
 the fixtures, their grid cuts, float32 STL copies of those, seeded
 hulls and random triangle subsets.  Neighbour lists are compared as
@@ -31,7 +32,7 @@ from planecode import (
     write_code,
 )
 from planecode.convex import COPLANAR_ANGLE, PlaneSet, coplanar_patches
-from planecode.errors import NonSimpleBoundary
+from planecode.errors import GeometryError, NonSimpleBoundary
 from planecode.geometry import triangle_planes
 from planecode.mesh import EdgeTable, components, group_borders
 from planecode.polygonize import _chain_loops as table_chain_loops
@@ -178,6 +179,27 @@ def _chain_loops(edges):
             cur = succ[cur]
         loops.append(loop)
     return loops
+
+
+def oracle_rim(mesh, triangles):
+    """Directed edges (a, b) of the triangles' open boundary, in ``EdgeTable.border`` order.
+
+    Read off the mesh's own edge table: an edge is on the rim when the
+    listed triangles walk it, and never both ways, so an edge that the
+    whole mesh walks once, as on an open mesh, is on it too.  Each run
+    gives its edge once, as the listed triangles walk it.
+    """
+    e = mesh.edges
+    inside = np.zeros(len(mesh.triangles), dtype=bool)
+    inside[triangles] = True
+    mine = inside[e.owner]
+    count = np.add.reduceat(mine, e.start)
+    forward = np.add.reduceat(mine & (e.a < e.b), e.start)
+    a, b = e.a[e.start], e.b[e.start]
+    keep = (count > 0) & ((forward == 0) | (forward == count)) & (a != b)
+    lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+    up = forward[keep] > 0
+    return zip(np.where(up, lo, hi).tolist(), np.where(up, hi, lo).tolist())
 
 
 def oracle_face_adjacency(poly):
@@ -432,6 +454,82 @@ def test_an_edge_from_a_vertex_to_itself_is_no_border_edge():
     for group in ([1], [1, 2], [0, 3], [3], [0, 1, 2, 3, 4]):
         assert table_border(mesh, group) == sorted(_border_edges(mesh, group)), group
     assert table_border(mesh, [1]) == []
+
+
+def assert_rim_matches(mesh, triangles):
+    """``mesh.edges.border(triangles)`` gives ``oracle_rim``'s edges.
+
+    Each edge's owner is a listed triangle that walks it that way.
+    """
+    fresh = TriangleMesh(mesh.vertices, mesh.triangles)
+    a, b, owner = fresh.edges.border(triangles)
+    got = list(zip(a.tolist(), b.tolist()))
+    assert got == list(oracle_rim(mesh, triangles))
+    listed = set(np.asarray(triangles, dtype=np.int64).tolist())
+    for (x, y), t in zip(got, owner.tolist()):
+        i, j, k = mesh.triangles[t].tolist()
+        assert t in listed and (x, y) in ((i, j), (j, k), (k, i))
+    return got
+
+
+def segmented_parts(mesh):
+    try:
+        return segment_mesh(mesh)
+    except GeometryError:
+        return []
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_part_rims_match_the_oracle(name):
+    mesh = CORPUS[name]
+    nt = len(mesh.triangles)
+    for part in segmented_parts(mesh):
+        assert_rim_matches(mesh, part.triangles)
+    # every triangle: the rim of a whole mesh is the border the table gives
+    a, b, _ = mesh.edges.border()
+    assert assert_rim_matches(mesh, np.arange(nt)) == list(zip(a.tolist(), b.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CORPUS)),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.floats(0.0, 1.0),
+    repeat=st.booleans(),
+)
+def test_any_subset_rim_matches_the_oracle(name, seed, frac, repeat):
+    mesh = CORPUS[name]
+    rng = np.random.default_rng(seed)
+    nt = len(mesh.triangles)
+    members = rng.permutation(np.flatnonzero(rng.random(nt) < frac))
+    if repeat:  # a triangle listed twice walks its edges no other way
+        members = np.concatenate([members, members[: len(members) // 2]])
+    assert_rim_matches(mesh, members)
+
+
+def test_an_empty_subset_has_no_rim():
+    for name in ("cube", "open_box", "notched_box_g2"):
+        assert assert_rim_matches(CORPUS[name], []) == []
+        assert assert_rim_matches(CORPUS[name], np.zeros(0, dtype=np.int64)) == []
+
+
+def test_an_open_mesh_keeps_the_edges_it_walks_once():
+    mesh = CORPUS["open_box"]
+    nt = len(mesh.triangles)
+    rim = assert_rim_matches(mesh, np.arange(nt))
+    assert rim and sorted(rim) == sorted(mesh.boundary_edges())
+    for t in range(nt):
+        assert_rim_matches(mesh, [t])
+    assert_rim_matches(mesh, list(range(0, nt, 2)))
+
+
+def test_a_ring_with_a_self_edge_keeps_the_border_rule():
+    verts = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 2, 0), (3, 2, 0)], dtype=float)
+    mesh = TriangleMesh(verts, [(0, 1, 2), (3, 3, 4), (4, 3, 3), (2, 1, 1), (1, 2, 0)])
+    for group in ([1], [1, 2], [0, 3], [3], [0, 1, 2, 3, 4], [4, 0], [2, 2, 1]):
+        assert_rim_matches(mesh, group)
+    # the edge from 3 to itself is no rim edge; 3-4 is walked both ways
+    assert assert_rim_matches(mesh, [1, 2]) == []
 
 
 def flat_cells(cells):

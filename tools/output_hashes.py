@@ -11,6 +11,13 @@ probe, and decodes every code that encoded.  Each output gives one line,
 error text when the stage failed.  The last line is ``records N``.  Two
 trees give the same outputs when this prints the same lines on both,
 so compare them with ``diff``.  Nothing under ``perfbench/`` is written.
+
+``tools/output_hashes.txt`` holds the listing for seeds 1 2 3, and CI
+diffs a fresh run against it.  It is the same under any PYTHONHASHSEED
+and with numpy's AVX-512 kernels off.  Only a change that states a
+behaviour change, naming the outputs it changes, may regenerate it:
+
+    python tools/output_hashes.py 1 2 3 > tools/output_hashes.txt
 """
 
 import hashlib
