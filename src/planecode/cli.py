@@ -112,15 +112,10 @@ def _write_mesh_file(mesh, path, fmt=None):
         pathlib.Path(path).write_bytes(write_stl_binary(mesh))
 
 
-def _angle(value, degrees):
-    return math.degrees(value) if degrees else value
-
-
-def _print_planes(planes, degrees):
-    unit = "deg" if degrees else "rad"
-    print("      nu (%s)    phi (%s)            h" % (unit, unit))
+def _print_planes(planes):
+    print("      nu (deg)    phi (deg)            h")
     for nu, phi, h in planes:
-        print("%12.6f %12.6f %12.6f" % (_angle(nu, degrees), _angle(phi, degrees), h))
+        print("%12.6f %12.6f %12.6f" % (math.degrees(nu), math.degrees(phi), h))
 
 
 def _cmd_encode(args):
@@ -136,7 +131,7 @@ def _cmd_encode(args):
     if kind == "convex":
         print("convex code: %d planes, %d payload bytes" % (len(code), 12 * len(code)))
         if args.degrees:
-            _print_planes(code, True)
+            _print_planes(code)
     else:
         total = total_plane_count(code)
         print(
@@ -173,7 +168,7 @@ def _cmd_segment(args):
             % (i, part.kind.value, len(part.triangles), len(faces), len(boundary))
         )
         if args.degrees:
-            _print_planes([f.plane for f in faces], True)
+            _print_planes([f.plane for f in faces])
     print("total: %d parts, %d planes" % (len(parts), total_planes))
     return 0
 

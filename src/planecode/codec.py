@@ -12,7 +12,9 @@ Layout, all little-endian, no padding:
 A record is three float32 values (nu, phi, h), angles in radians.
 Quantization to float32 can push nu past pi or phi up to 2*pi; the
 writer nudges such values one ulp back into range so that a written
-file always re-reads cleanly and re-writes bit-identically.
+file always re-reads cleanly and re-writes bit-identically.  An offset
+beyond float32's range cannot be nudged: the writer raises the reader's
+AngleOutOfRange for it.
 
 The reader trusts nothing: magic, version, kind bytes, counts against
 the actual length, and angle ranges are all checked, and every failure
@@ -44,26 +46,35 @@ _PART_KIND_OF_BYTE = {0: PartKind.PSEUDO_CONVEX, 1: PartKind.PSEUDO_CONCAVE}
 _BYTE_OF_PART_KIND = {v: k for k, v in _PART_KIND_OF_BYTE.items()}
 
 
-def _records(planes):
-    arr = planes.triplets().astype("<f4")
+def _records(planes, label):
+    with np.errstate(over="ignore"):
+        arr = planes.triplets().astype("<f4")
     nu = arr[:, 0]
     over = nu.astype(np.float64) > math.pi
     nu[over] = np.nextafter(nu[over], np.float32(0.0))
     phi = arr[:, 1]
     over = phi.astype(np.float64) >= TWO_PI
     phi[over] = np.nextafter(phi[over], np.float32(0.0))
+    bad = np.flatnonzero(~np.isfinite(arr[:, 2]))
+    if len(bad):
+        raise _out_of_range(label, arr, bad[0])
     return arr.tobytes()
 
 
+def _out_of_range(label, rows, row):
+    nu, phi, h = rows[row].tolist()
+    return AngleOutOfRange("%s record %d holds (nu=%r, phi=%r, h=%r)" % (label, row, nu, phi, h))
+
+
 def write_code(code):
-    """Serialize a PlaneSet or SegmentedCode to .plnc bytes."""
+    """Serialize a PlaneSet or SegmentedCode to .plnc bytes, or raise as the reader would."""
     if isinstance(code, SegmentedCode):
         out = [
             MAGIC,
             bytes((VERSION, _KIND_SEGMENTED)),
             struct.pack("<I", len(code.parts)),
         ]
-        for part in code.parts:
+        for i, part in enumerate(code.parts):
             out.append(
                 struct.pack(
                     "<BII",
@@ -72,15 +83,15 @@ def write_code(code):
                     len(part.boundary_planes),
                 )
             )
-            out.append(_records(part.face_planes))
-            out.append(_records(part.boundary_planes))
+            out.append(_records(part.face_planes, "part %d face" % i))
+            out.append(_records(part.boundary_planes, "part %d boundary" % i))
         return b"".join(out)
     return b"".join(
         [
             MAGIC,
             bytes((VERSION, _KIND_CONVEX)),
             struct.pack("<I", len(code)),
-            _records(code),
+            _records(code, "plane"),
         ]
     )
 
@@ -94,10 +105,7 @@ def _parse_planes(data, offset, count, label):
     try:
         return PlaneSet(raw)
     except ValueError as exc:
-        nu, phi, h = raw[exc.row].tolist()
-        raise AngleOutOfRange(
-            "%s record %d holds (nu=%r, phi=%r, h=%r)" % (label, exc.row, nu, phi, h)
-        )
+        raise _out_of_range(label, raw, exc.row)
 
 
 def read_code(data):

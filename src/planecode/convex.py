@@ -467,8 +467,8 @@ def encode_convex(mesh, eps=None):
     """
     if not mesh.is_closed:
         raise NotClosed("mesh has boundary or over-shared edges")
-    eps = mesh.slack(eps)
     normals, offsets = mesh.planes
+    eps = mesh.slack(eps)
     points = mesh.vertices.T
     for r in range(0, len(normals), CONVEX_ROWS):
         dist = normals[r:r + CONVEX_ROWS] @ points - offsets[r:r + CONVEX_ROWS, None]
@@ -498,10 +498,10 @@ class FaceTable:
     call's PlaneSet, a row per patch, and ``borders`` each patch's border
     edges from one grouped ``EdgeTable`` of the patches' triangles
     (``mesh.group_borders``); both are built on first read, so a convex
-    encode never builds the borders.  When some patch has no plane (a
-    non-finite corner), every read of ``planes`` raises as
-    ``patch_planes`` does.  The table refers to its mesh weakly: cached
-    on the mesh, it makes no cycle.
+    encode never builds the borders.  Only a built table's patch sums can
+    overflow (a cube scaled by 1e77), and then every read of ``planes``
+    raises as ``patch_planes`` does.  The table refers to its mesh
+    weakly: cached on the mesh, it makes no cycle.
     """
 
     def __init__(self, mesh, eps, members=None):

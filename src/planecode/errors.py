@@ -16,7 +16,7 @@ class GeometryError(PlaneCodeError):
 
 
 class DegenerateTriangle(GeometryError):
-    """Triangle with (numerically) zero area, no well-defined plane."""
+    """Triangle with no plane: (numerically) zero area, or a non-finite or overflowing corner."""
 
 
 class NotUnitVector(GeometryError):
@@ -125,4 +125,4 @@ class TruncatedPayload(CodeFormatError):
 
 
 class AngleOutOfRange(CodeFormatError):
-    """Stored direction angles outside their documented ranges."""
+    """Stored direction angles outside their documented ranges, or an offset beyond float32."""

@@ -115,17 +115,21 @@ def triangle_planes(p1, p2, p3):
     ``p1``, ``p2`` and ``p3`` are (T, 3) corner arrays.  The normal is
     the normalized cross product (p2 - p1) x (p3 - p2), so a
     counterclockwise vertex order seen from outside yields an outward
-    normal; the offset is omega . p1.  The degeneracy test is on the
-    squared cross-product norm, so EPS_AREA lives at the length**4
-    scale; the first degenerate triangle raises DegenerateTriangle.
+    normal; the offset is omega . p1.  A triangle has a plane only when
+    its squared cross norm lies in (EPS_AREA, inf), EPS_AREA at the
+    length**4 scale; the first that fails (zero area, or a non-finite or
+    overflowing corner) raises DegenerateTriangle naming it.
     """
     p1, p2, p3 = (np.asarray(p, dtype=float).reshape(-1, 3) for p in (p1, p2, p3))
-    c = cross(p2 - p1, p3 - p2)
-    nsq = np.einsum("ij,ij->i", c, c)
-    bad = np.flatnonzero(nsq <= EPS_AREA)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = cross(p2 - p1, p3 - p2)
+        nsq = np.einsum("ij,ij->i", c, c)
+    # the accepting test, negated: NaN compares False either way
+    bad = np.flatnonzero(~((nsq > EPS_AREA) & (nsq < math.inf)))
     if len(bad):
         raise DegenerateTriangle(
-            "squared cross norm %.3g <= %.3g" % (nsq[bad[0]], EPS_AREA)
+            "triangle %d: squared cross norm %.3g outside (%.3g, inf)"
+            % (bad[0], nsq[bad[0]], EPS_AREA)
         )
     normals = c / np.sqrt(nsq)[:, None]
     return normals, np.einsum("ij,ij->i", normals, p1)

@@ -98,10 +98,9 @@ def polygonize_part(mesh, part, eps=None):
 
     The faces are the part's coplanar patches, in order of their
     smallest triangle, read from one face table: the mesh's own
-    (``convex.face_table``) when every patch the part touches lies
-    wholly inside it and every patch of the mesh has a plane, else a
-    table of the part's own triangles, since a patch that the part's
-    border cuts may fall apart inside the part.
+    (``convex.face_table``) unless the part's border cuts one of its
+    patches, else a table of the part's own triangles, since a cut
+    patch may fall apart inside the part.
     Raises NonSimpleBoundary when a merged patch is not a disk (its
     boundary is more than one loop, or pinches at a vertex).
     """
@@ -109,7 +108,7 @@ def polygonize_part(mesh, part, eps=None):
     members = np.unique(np.asarray(part.triangles, dtype=np.int64))
     count = np.bincount(table.labels[members], minlength=len(table.patches))
     ids = np.flatnonzero(count).tolist()
-    if (count[ids] < table.sizes[ids]).any() or not _has_planes(table):
+    if (count[ids] < table.sizes[ids]).any():
         table = FaceTable(mesh, table.eps, members)
         ids = range(len(table.patches))
     return [
@@ -118,15 +117,6 @@ def polygonize_part(mesh, part, eps=None):
         )
         for k in ids
     ]
-
-
-def _has_planes(table):
-    """Whether every patch of the table has a plane (none has a non-finite corner)."""
-    try:
-        table.planes
-    except (GeometryError, ValueError):
-        return False
-    return True
 
 
 def _patch_ring(loops):

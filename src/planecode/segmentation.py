@@ -63,7 +63,8 @@ def mutual_orientation(mesh, t1, t2, eps=None):
     slack ``eps``, by default ``mesh.slack()`` as in ``segment_mesh``,
     so rounding cannot split a coplanar pair.  Coplanar pairs come out
     POSITIVE because both closed-half-space conditions hold and the
-    positive test runs first.
+    positive test runs first.  A triangle without a plane raises
+    DegenerateTriangle, which names it by its place in the pair, 0 or 1.
     """
     tris = [mesh.triangles[t] if isinstance(t, (int, np.integer)) else t for t in (t1, t2)]
     a, b = mesh.vertices[np.asarray(tris, dtype=np.int64)]
@@ -112,13 +113,13 @@ def segment_mesh(mesh, eps=None):
         raise InconsistentOrientation(
             "adjacent triangles disagree on winding direction"
         )
+    normals, offs = mesh.planes
     eps = mesh.slack(eps)
 
     nt = len(mesh.triangles)
     vertices = mesh.vertices
     corners = vertices[mesh.triangles]
     tris = mesh.triangles.tolist()
-    normals, offs = mesh.planes
     neighbors = mesh.neighbors
     seeds = _strict_neighbors(corners, normals, offs, *mesh.edges.pairs(), eps)
     plane_id = _plane_ids(normals, offs)

@@ -1,6 +1,7 @@
 """The planecode command line, driven in process through main()."""
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from planecode import (
     PlaneSet,
     SegmentedCode,
+    TriangleMesh,
     decode_convex,
     encode_convex,
     load_mesh,
@@ -197,6 +199,28 @@ def test_encoding_a_mesh_without_volume_exits_3_and_writes_nothing(capsys, tmp_p
     rc, out, err = run(capsys, "encode", str(mesh_path), str(code_path))
     assert (rc, out) == (3, "")
     assert err.startswith("UnboundedRegion: ")
+    assert not code_path.exists()
+
+
+@pytest.mark.parametrize(
+    "scale, rc, err",
+    [
+        # corners that overflow every triangle's squared cross norm
+        (1e300, 3, "DegenerateTriangle: triangle 0: squared cross norm inf outside (1e-12, inf)"),
+        # plane offsets that no float32 record holds
+        (1e39, 4, "AngleOutOfRange: plane record 0 holds (nu=0.0, phi=0.0, h=inf)"),
+    ],
+)
+def test_a_huge_mesh_exits_with_one_line(capsys, tmp_path, cube_mesh, scale, rc, err):
+    """Encode refuses it in one stderr line, with no numpy warning, and writes nothing."""
+    mesh_path = tmp_path / "huge.obj"
+    mesh_path.write_text(write_obj(TriangleMesh(cube_mesh.vertices * scale, cube_mesh.triangles)))
+    code_path = tmp_path / "huge.plnc"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run(capsys, "encode", str(mesh_path), str(code_path))
+    assert [str(w.message) for w in caught] == []
+    assert got == (rc, "", err + "\n")
     assert not code_path.exists()
 
 

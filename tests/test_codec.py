@@ -1,5 +1,6 @@
 """The .plnc byte format: layout goldens, idempotence, hostile input."""
 
+import math
 import struct
 
 import numpy as np
@@ -11,6 +12,8 @@ from planecode import (
     AngleOutOfRange,
     BadMagic,
     CodeFormatError,
+    PartCode,
+    PartKind,
     PlaneSet,
     SegmentedCode,
     TruncatedPayload,
@@ -90,6 +93,33 @@ def test_read_back_angles_stay_in_range_at_the_edges():
     assert back[0][0] <= np.pi
     assert back[1][1] < 2 * np.pi
     assert write_code(back) == blob
+
+
+@pytest.mark.parametrize("h", [3.5e38, -1e39, 1e300])
+def test_an_offset_beyond_float32_is_refused_as_the_reader_would(h):
+    ok = (1.0, 2.0, 0.5)
+    inf = math.copysign(math.inf, h)
+    part = PartCode(PartKind.PSEUDO_CONVEX, PlaneSet([ok]), PlaneSet([ok, ok, (0.5, 1.0, h)]))
+    cases = [
+        (PlaneSet([ok, (1.0, 2.0, h)]),
+         CONVEX_HEADER + struct.pack("<I", 2) + rec(*ok) + rec(1.0, 2.0, inf),
+         "plane record 1 holds (nu=1.0, phi=2.0, h=%r)" % inf),
+        (SegmentedCode([part]),
+         SEGMENTED_HEADER + struct.pack("<IBII", 1, 0, 1, 3) + rec(*ok) * 3 + rec(0.5, 1.0, inf),
+         "part 0 boundary record 2 holds (nu=0.5, phi=1.0, h=%r)" % inf),
+    ]
+    for code, blob, message in cases:
+        with pytest.raises(AngleOutOfRange) as read:
+            read_code(blob)
+        with pytest.raises(AngleOutOfRange) as written:
+            write_code(code)
+        assert str(written.value) == str(read.value) == message
+
+
+def test_the_largest_float32_offset_still_round_trips():
+    code = PlaneSet([(1.0, 2.0, 3.4e38), (1.0, 2.0, -3.4e38)])
+    blob = write_code(code)
+    assert write_code(read_code(blob)) == blob
 
 
 def test_empty_codes_round_trip():

@@ -26,6 +26,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planecode import (
+    DegenerateTriangle,
+    GeometryError,
     PartCode,
     PlaneSet,
     SegmentedCode,
@@ -33,6 +35,7 @@ from planecode import (
     boundary_planes_for_part,
     encode_convex,
     encode_segmented,
+    mutual_orientation,
     polygonize_part,
     segment_mesh,
     shapes,
@@ -357,41 +360,6 @@ def test_hand_built_parts_match_the_oracle():
             assert_parts_match(mesh, segmented)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
-@pytest.mark.parametrize("name", ["notched_box", "l_prism", "two_notch_box", "l_prism_g2"])
-def test_a_corner_without_a_plane_fails_in_the_same_part_and_stage(name, bad):
-    """A non-finite or overflowing corner leaves a patch with no plane.
-
-    The whole-mesh ``patch_planes`` call then fails, so each part
-    measures its own patches and raises, or not, as it did alone.
-    """
-    mesh = CORPUS[name]
-    for k in range(0, len(mesh.vertices), max(3, len(mesh.vertices) // 8)):
-        v = mesh.vertices.copy()
-        v[k, 1] = bad
-        broken = TriangleMesh(v, mesh.triangles)
-        with np.errstate(all="ignore"):
-            assert_encode_matches(broken)
-            status, parts = outcome(segment_mesh, broken)
-            if status == "ok":
-                assert_parts_match(broken, parts)
-
-
-def test_a_convex_mesh_without_a_plane_raises_as_before(cube_mesh):
-    v = cube_mesh.vertices.copy()
-    v[0, 0] = np.nan
-    broken = TriangleMesh(v, cube_mesh.triangles)
-
-    def oracle(mesh):
-        patches = oracle_coplanar_patches(mesh, *mesh.planes, mesh.slack())
-        return patch_planes(mesh, patches, max(1.0, mesh.bbox_diagonal())).sorted_canonical()
-
-    with np.errstate(all="ignore"):
-        want = outcome(oracle, broken)
-        assert want[0] == "NotUnitVector"
-        assert outcome(encode_convex, TriangleMesh(v, cube_mesh.triangles)) == want
-
-
 def test_an_empty_part_matches_the_oracle(cube_mesh):
     assert_parts_match(cube_mesh, [MeshPart(PartKind.PSEUDO_CONVEX, [])])
 
@@ -491,3 +459,54 @@ def test_each_part_that_cuts_a_patch_builds_one_more_face_table(monkeypatch, nam
     n_parts, n_cutting = CUTTING_PARTS[name]
     assert len(parts) == n_parts
     assert built == [True] + [False] * n_cutting
+
+
+# -- a triangle without a plane ---------------------------------------------
+
+
+GRID_CUTS = tuple("%s_g%d" % (n, g) for n in sorted(GRID_FIXTURES) for g in (1, 2, 4, 8))
+
+
+@pytest.mark.parametrize("name", FIXTURES + GRID_CUTS)
+def test_a_corner_without_a_plane_raises_degenerate_triangle(name):
+    """NaN, infinite and overflowing corners fail the one plane test.
+
+    Every encode entry point raises DegenerateTriangle naming a triangle
+    that touches the corner, and no numpy warning escapes (the suite
+    turns a RuntimeWarning into an error).
+    """
+    mesh = CORPUS[name]
+    n = len(mesh.vertices)
+    for k in range(0, n, max(3, n // 4)):
+        for bad in (np.nan, np.inf, -np.inf, 1e300):
+            v = mesh.vertices.copy()
+            v[k, 1] = bad
+            broken = TriangleMesh(v, mesh.triangles)
+            calls = [segment_mesh, encode_segmented]
+            if broken.is_closed:
+                calls.append(encode_convex)
+            named = []
+            for call in calls:
+                with pytest.raises(DegenerateTriangle) as err:
+                    call(broken)
+                named.append(int(str(err.value).split()[1].rstrip(":")))
+            t = named[0]
+            assert named == [t] * len(calls) and k in mesh.triangles[t], (k, bad)
+            # the pair test names the triangle's place in the pair
+            other = int(np.flatnonzero((mesh.triangles != k).all(axis=1))[0])
+            for pair, place in (((t, other), 0), ((other, t), 1)):
+                with pytest.raises(DegenerateTriangle, match="^triangle %d: " % place):
+                    mutual_orientation(broken, *pair)
+
+
+def test_a_cube_whose_patch_sums_overflow_raises_a_geometry_error(cube_mesh):
+    """Each triangle of a cube scaled by 1e77 has a plane, but its patch sums overflow.
+
+    numpy warns on the way, so the warnings are silenced here.
+    """
+    huge = TriangleMesh(cube_mesh.vertices * 1e77, cube_mesh.triangles)
+    assert len(huge.planes[0]) == 12  # every triangle passes the plane test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for encode in (encode_convex, encode_segmented):
+            with pytest.raises(GeometryError):
+                encode(TriangleMesh(huge.vertices, huge.triangles))
