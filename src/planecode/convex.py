@@ -244,7 +244,7 @@ def decode_convex(code, eps=None):
             np.column_stack([normals[kept], -offsets[kept]]), centre
         )
     except QhullError as exc:
-        raise EmptyRegion("half-space intersection failed: %s" % exc)
+        raise EmptyRegion("half-space intersection failed: %s" % _first_line(exc))
 
     # one (plane, vertex) incidence pair per entry of a dual facet
     facets = hs.dual_facets
@@ -332,11 +332,16 @@ def _chebyshev_centre(normals, offsets):
     try:
         eq = ConvexHull(lifted).equations
     except QhullError as exc:
-        raise EmptyRegion("lifted planes have no lower hull: %s" % exc)
+        raise EmptyRegion("lifted planes have no lower hull: %s" % _first_line(exc))
     lower = eq[eq[:, 3] < 0.0]
     best = lower[int(np.argmax(-lower[:, 4] / lower[:, 3]))]
     centre = -best[:3] / best[3]
     return centre, float((offsets - normals @ centre).min())
+
+
+def _first_line(exc):
+    """The first line of a Qhull report: its error code and one-line reason."""
+    return str(exc).partition("\n")[0]
 
 
 def _vertex_points(normals, offsets, flat, sizes, fallback):
@@ -609,10 +614,15 @@ def patch_planes(mesh, patches, scale):
 
 
 def translate_planes(code, a):
-    """Shift the coded solid by ``a``: directions fixed, h += omega . a."""
+    """Shift the coded solid by ``a``: directions fixed, h += omega . a.
+
+    A shift turns no normal, so the moved set keeps the code's normals
+    and only the offsets are checked again.
+    """
     t = code.triplets().copy()
     t[:, 2] += code.normals() @ np.asarray(a, dtype=float)
-    return PlaneSet(t)
+    check_triplets(t)
+    return PlaneSet._of(t, code.normals())
 
 
 def rotate_planes(code, r):

@@ -7,7 +7,6 @@ patch its outline (``group_borders``) and each segmented part its rim
 """
 
 import functools
-import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -144,25 +143,18 @@ class TriangleMesh:
 class EdgeTable:
     """Directed edges (a, b) of vertex rings and their owning rings, one run per edge.
 
-    ``rings`` is a (count, k) array, such as triangles, or a list of non-empty
-    sequences, such as decoded faces.  One stable ``np.lexsort`` on the columns
-    (group, min, max), never packed into one integer that could overflow, makes
-    each undirected edge of a group one run, given by ``start`` and ``size``.
+    ``rings`` is a (count, k) array, such as triangles.  One stable
+    ``np.lexsort`` on the columns (group, min, max), never packed into one
+    integer that could overflow, makes each undirected edge of a group one
+    run, given by ``start`` and ``size``.
     """
 
     def __init__(self, rings, group=None):
-        if isinstance(rings, np.ndarray):
-            sizes = np.full(len(rings), rings.shape[1])
-            a = rings.ravel()
-        else:
-            sizes = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
-            a = np.fromiter(itertools.chain.from_iterable(rings), dtype=np.int64)
-        ends = np.cumsum(sizes)
-        nxt = np.arange(1, len(a) + 1)
-        nxt[ends - 1] = ends - sizes  # each ring's last edge closes it
-        b = a[nxt]
-        self.ring_count = len(sizes)
-        owner = np.repeat(np.arange(len(sizes)), sizes)
+        rings = np.asarray(rings)
+        a = rings.ravel()
+        b = np.concatenate([rings[:, 1:], rings[:, :1]], axis=1).ravel()  # last edge closes
+        self.ring_count = len(rings)
+        owner = np.repeat(np.arange(len(rings)), rings.shape[1])
         keys = [np.maximum(a, b), np.minimum(a, b)]
         if group is not None:
             keys.append(np.asarray(group)[owner])
@@ -173,15 +165,10 @@ class EdgeTable:
         self.start = np.flatnonzero(np.concatenate(([len(a) > 0], change)))
         self.size = np.concatenate((self.start[1:], [len(a)])) - self.start
 
-    def pairs(self, every=False):
-        """Owners (i, j) of each 2-run, or with ``every`` of any two edges in a run."""
-        if not every:
-            s = self.start[self.size == 2]
-            return self.owner[s], self.owner[s + 1]
-        n = np.repeat(self.start + self.size, self.size) - np.arange(len(self.a)) - 1
-        i = np.repeat(np.arange(len(self.a)), n)  # once per later edge of the run
-        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
-        return self.owner[i], self.owner[j]
+    def pairs(self):
+        """Owners (i, j) of each 2-run."""
+        s = self.start[self.size == 2]
+        return self.owner[s], self.owner[s + 1]
 
     def border(self, rings=None):
         """(a, b, owner) of each edge whose reverse no ring of its group walks, once.

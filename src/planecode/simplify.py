@@ -11,12 +11,20 @@ not cascade.  The merge pass unions adjacent planes greedily; a cluster
 is represented by its evolving area-weighted direction sum, which stops
 long chains of slightly-tilted planes from collapsing into one.
 
+Each decoded solid is measured in one pass over its face rings.  Every
+ring is fanned from its first vertex; the rings of 3 to SHORT_RING
+vertices go through one padded batch, and only longer rings are batched
+by length, so the areas and centroids round as a ring measured alone
+would.  Two face planes are adjacent when their rings share an edge,
+read off one sort of the rings' edge keys.
+
 Each distinct plane set is decoded once, always with the caller's
 ``eps``: the decode of the input serves the area pass, and the merge
 pass reuses it when the area pass drops nothing, or else the decode
 that checks the kept planes still bound a solid.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,12 +32,12 @@ import numpy as np
 from .convex import PlaneSet, decode_convex
 from .errors import GeometryError, OverSimplified
 from .geometry import angle_between, cross, row_dots, snapped_triplets
-from .mesh import EdgeTable
 from .polygonize import PartCode, SegmentedCode, decode_part
 
 HALF_PI = np.pi / 2.0
 SCREEN_MARGIN = 1e-9  # radians: screened angles this close to tau are recomputed
 SCREEN_RANGE = (1e-150, 1e150)  # sum norms that square without under- or overflow
+SHORT_RING = 9  # longest ring of the padded batch: numpy sums its 7 fan terms in order
 
 
 class SimplifyParams:
@@ -47,41 +55,87 @@ class SimplifyParams:
 def _face_measurements(poly, n_planes):
     """Per-plane decoded face area and area centroid; zeros when faceless.
 
-    Each ring is fanned from its first vertex.  Rings of one length are
-    measured together, as one (rings, triangles) batch whose per-ring
-    sums run in the same order as a single ring's would.  The cross
-    products come from ``cross``, which rounds as ``np.cross`` does.  A
-    ring with no area (fewer than three vertices, or collinear) gets
-    area zero and the mean of its vertices.
+    Each ring is fanned from its first vertex, and its area is the sum
+    of its fan triangles' areas, its centroid their area-weighted
+    centres over that sum.  Rings of 3 to SHORT_RING vertices are
+    measured in one batch, padded with their first vertex to the longest
+    of them: a padded slot is a zero-area triangle whose weighted centre
+    is set to -0.0, and numpy sums the at most 7 terms of a row in
+    order, so every sum rounds as the ring's own would.  Longer rings,
+    whose sums numpy adds pairwise, are batched one length at a time.
+    The cross products come from ``cross``, which rounds as ``np.cross``
+    does.  A ring with no area (fewer than three vertices, or collinear)
+    gets area zero and the mean of its vertices.
     """
     areas = np.zeros(n_planes)
     centroids = np.zeros((n_planes, 3))
-    sizes = np.fromiter(map(len, poly.faces), dtype=np.int64, count=len(poly.faces))
+    faces = poly.faces
+    sizes = np.fromiter(map(len, faces), dtype=np.int64, count=len(faces))
     owner = np.asarray(poly.face_planes, dtype=np.int64)
-    for k in np.unique(sizes).tolist():
+    flat = np.fromiter(itertools.chain.from_iterable(faces), dtype=np.int64, count=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    batches = []
+    rows = np.flatnonzero((sizes >= 3) & (sizes <= SHORT_RING))
+    if len(rows):
+        cols = np.arange(int(sizes[rows].max()))
+        real = cols < sizes[rows, None]  # slots past a ring's end take its first vertex
+        batches.append((rows, flat[starts[rows, None] + cols * real], ~real[:, 2:]))
+    for k in sorted(set(sizes[sizes > SHORT_RING].tolist())):
         rows = np.flatnonzero(sizes == k)
-        pts = poly.vertices[np.array([poly.faces[r] for r in rows.tolist()])]
-        if k >= 3:
-            v0 = pts[:, :1]
-            tri = 0.5 * np.linalg.norm(cross(pts[:, 1:-1] - v0, pts[:, 2:] - v0), axis=2)
-            total = tri.sum(axis=1)
-            centers = (v0 + pts[:, 1:-1] + pts[:, 2:]) / 3.0
-            spans = total > 0.0
-            areas[owner[rows[spans]]] = total[spans]
-            centroids[owner[rows[spans]]] = (
-                (centers[spans] * tri[spans, :, None]).sum(axis=1)
-                / total[spans, None]
-            )
-            rows, pts = rows[~spans], pts[~spans]
-        for r, ring_pts in zip(rows.tolist(), pts):
-            centroids[owner[r]] = ring_pts.mean(axis=0)
+        batches.append((rows, flat[starts[rows, None] + np.arange(k)], None))
+    no_area = np.flatnonzero(sizes < 3).tolist()
+    for rows, ring_idx, pad in batches:
+        pts = poly.vertices[ring_idx]
+        v0 = pts[:, :1]
+        spokes = pts[:, 1:] - v0
+        c = cross(spokes[:, :-1], spokes[:, 1:])
+        tri = 0.5 * np.sqrt((c * c).sum(axis=2))  # as np.linalg.norm sums it
+        weighted = (v0 + pts[:, 1:-1] + pts[:, 2:]) / 3.0 * tri[:, :, None]
+        if pad is not None:
+            weighted[pad] = -0.0  # x + -0.0 == x for every x
+        total = tri.sum(axis=1)
+        spans = total > 0.0
+        at = owner[rows[spans]]
+        areas[at] = total[spans]
+        centroids[at] = weighted[spans].sum(axis=1) / total[spans, None]
+        no_area += rows[~spans].tolist()
+    for r in no_area:
+        centroids[owner[r]] = poly.vertices[faces[r]].mean(axis=0)
     return areas, centroids
 
 
 def _face_adjacency(poly):
-    """Sorted plane-index pairs whose faces share an edge, duplicate planes included."""
-    planes = np.take(poly.face_planes, EdgeTable(poly.faces).pairs(every=True))
-    return sorted({(min(p), max(p)) for p in zip(*planes.tolist()) if p[0] != p[1]})
+    """Sorted plane-index pairs whose faces share an edge, duplicate planes included.
+
+    The rings must be non-empty.  Every ring edge gets one integer key,
+    its smaller vertex index times one more than the largest index, plus
+    its larger.  One sort puts the edges of a key side by side, and any
+    two of them pair their rings' planes.  A repeated plane shares its
+    copy's ring, so three or more edges of one key are paired at offsets
+    1, 2, ... in turn.  The cost grows with the number of ring edges, not
+    with planes times vertices.
+    """
+    faces = poly.faces
+    sizes = np.fromiter(map(len, faces), dtype=np.int64, count=len(faces))
+    a = np.fromiter(itertools.chain.from_iterable(faces), dtype=np.int64, count=int(sizes.sum()))
+    ends = np.cumsum(sizes)
+    after = np.arange(1, len(a) + 1)
+    after[ends - 1] = ends - sizes  # each ring's last edge closes it
+    b = a[after]
+    key = np.minimum(a, b) * (int(a.max(initial=0)) + 1) + np.maximum(a, b)
+    order = np.argsort(key)
+    key = key[order]
+    owner = np.repeat(np.asarray(poly.face_planes, dtype=np.int64), sizes)[order]
+    n = int(owner.max(initial=0)) + 1
+    pairs = [owner[:0]]
+    for d in range(1, len(key)):
+        same = np.flatnonzero(key[d:] == key[:-d])
+        if not len(same):
+            break
+        i, j = owner[same], owner[same + d]
+        pairs.append((np.minimum(i, j) * n + np.maximum(i, j))[i != j])
+    i, j = np.divmod(np.unique(np.concatenate(pairs)), n)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def simplify_code(code, params, eps=None):

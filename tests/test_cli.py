@@ -224,6 +224,17 @@ def test_a_huge_mesh_exits_with_one_line(capsys, tmp_path, cube_mesh, scale, rc,
     assert not code_path.exists()
 
 
+def test_a_code_too_large_for_qhull_exits_with_one_line(capsys, tmp_path, cube_mesh):
+    """Qhull's precision report is cut to its first line in the EmptyRegion text."""
+    code = encode_convex(TriangleMesh(cube_mesh.vertices * 1e15, cube_mesh.triangles))
+    code_path = tmp_path / "c15.plnc"
+    code_path.write_bytes(write_code(code))
+    rc, out, err = run(capsys, "decode", str(code_path), str(tmp_path / "o.obj"))
+    assert (rc, out) == (3, "")
+    assert err.startswith("EmptyRegion: lifted planes have no lower hull: QH")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_junk_code_exits_4(capsys, tmp_path, cube_obj):
     rc, _, err = run(capsys, "decode", cube_obj, str(tmp_path / "o.obj"))
     assert rc == 4

@@ -113,6 +113,28 @@ def test_rigid_motions_match_the_per_plane_loop():
         assert np.array_equal(moved.normals(), code.normals())
 
 
+def test_a_shift_keeps_the_normals_a_new_set_computes():
+    rng = np.random.default_rng(23)
+    for hull in seeded_hulls(11, 4):
+        code = encode_convex(hull)
+        moved = translate_planes(code, rng.uniform(-3.0, 3.0, size=3))
+        fresh = PlaneSet(moved.triplets())
+        assert moved.normals().tobytes() == fresh.normals().tobytes()
+        assert moved.triplets().tobytes() == fresh.triplets().tobytes()
+    # a non-finite offset raises the text a new set raises for the moved rows
+    code = encode_convex(seeded_hulls(11, 1)[0])
+    for a in ((float("nan"), 0.0, 0.0), (0.0, float("inf"), 0.0)):
+        rows = code.triplets().copy()
+        with np.errstate(invalid="ignore"):
+            rows[:, 2] += code.normals() @ np.array(a)
+            with pytest.raises(ValueError) as want:
+                PlaneSet(rows)
+            with pytest.raises(ValueError) as got:
+                translate_planes(code, a)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("h must be finite, got ")
+
+
 def test_triangle_planes_match_the_per_triangle_loop():
     for hull in seeded_hulls(9, 3):
         p1, p2, p3 = hull.triangle_corners()
