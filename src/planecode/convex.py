@@ -9,14 +9,16 @@ It is the one plane container: a single plane is one of its rows, a
 ``(nu, phi, h)`` tuple, with no object of its own.
 Decoding first checks that the normals surround the origin, mostly by
 a certified screen of 128 support values and only otherwise by the 3-D
-hull of the normals.  It then finds an interior point as the centre of
-the largest inscribed ball, read off the lower hull of the planes
-lifted to R^4, and hands it to Qhull's half-space intersection, so a
-typical decode makes two Qhull calls.  Each dual facet Qhull returns is
-one vertex together with the planes that meet there: the vertex is
-solved from those planes' triples, all in one batch when every vertex
-is simple (three planes), and the same lists give every face ring its
-vertices, so incidence never depends on a distance tolerance.
+hull of the normals.  It then needs an interior point.  The least-squares
+centre of the planes, one 4x4 solve, serves when it is provably well
+inside; otherwise the centre of the largest inscribed ball, read off the
+lower hull of the planes lifted to R^4, does.  Qhull's half-space
+intersection from that point is, for a typical decode, the one Qhull
+call.  Each dual facet it returns is one vertex together with the
+planes that meet there: the vertex is solved from those planes'
+triples, all in one batch when every vertex is simple (three planes),
+and the same lists give every face ring its vertices, so incidence
+never depends on a distance tolerance.
 
 This module also holds the pieces the segmented codec shares: coplanar
 patches as components of coplanar neighbours (``coplanar_patches``), the
@@ -58,6 +60,7 @@ COPLANAR_ANGLE = 1e-6     # radians; triangles closer than this may share a face
 CONVEX_ROWS = 64          # triangles per block of the convexity test
 SURROUND_DIRECTIONS = 128 # directions probed by the surround screen
 SURROUND_MARGIN = 1e-6    # ball about the origin the surround screen proves
+CENTRED_SLACK = 0.5       # least over mean slack of an accepted least-squares centre
 ROTATION_TOL = 1e-9       # largest |R^T R - I| entry and |det R - 1| of a rotation
 
 class PlaneSet:
@@ -183,23 +186,30 @@ def decode_convex(code, eps=None):
     net's covering radius plus SURROUND_MARGIN in every direction of
     SURROUND_NET, their hull holds a ball about the origin.  Only codes
     it cannot clear build the 3-D hull of the normals, whose facets
-    must all pass more than 1e-9 from the origin.  An interior point is
-    the centre of the largest ball inside every half-space
-    (``_chebyshev_centre``, one 4-D hull); when that ball's radius is
-    at most ``eps`` (default FEAS_REL * max(1, max |h|)) the region is
+    must all pass more than 1e-9 from the origin.
+    The interior point is first the least-squares centre
+    (``_least_squares_centre``, one 4x4 solve), kept only when a ball
+    larger than ``eps`` (default FEAS_REL * max(1, max |h|)) fits about
+    it and it is well centred.  When it is refused, or Qhull's
+    intersection from it fails, the interior point is the centre of the
+    largest ball inside every half-space (``_chebyshev_centre``, one 4-D
+    hull); when that ball's radius is at most ``eps`` the region is
     empty or flat, say a zero-thickness slab, and EmptyRegion is raised.
     Qhull's half-space intersection (Barber, Dobkin and Huhdanpaa, ACM
-    TOMS 1996) then gives one dual facet per vertex, listing the planes
+    TOMS 1996) gives one dual facet per vertex, listing the planes
     that meet there; the vertex is the mean, in combination order, of
-    the 3x3 solves of those planes' triples (``_vertex_points``), with
+    the 3x3 solves of those planes' triples (``_triple_points``), with
     triples of condition number COND_LIMIT or more skipped; a closed-form
     determinant clears most triples, since cond(A) <= 2 / |det A| for
     unit rows, and only the rest need an SVD condition estimate.  When
     every vertex has three planes, as at a simple vertex, all of them
-    are solved in one batch.  So a typical decode makes two Qhull
-    calls, the 4-D hull and the intersection.  Each plane's ring holds
-    exactly the vertices whose dual facets list it, in the order of
-    their normal cones (``_rings``).
+    are solved in one batch.  A vertex with no usable triple takes
+    Qhull's own intersection point, which moves with the interior point,
+    so it is always taken from the Chebyshev centre's intersection; when
+    that intersection lists other dual facets, its whole output is
+    used.  So a typical decode makes one Qhull call, the intersection.
+    Each plane's ring holds exactly the vertices whose dual facets list
+    it, in the order of their normal cones (``_rings``).
     An exact duplicate plane, which Qhull sees once, shares its first
     copy's ring; a plane with fewer than three vertices is redundant.
     Output is canonical: vertices sorted lexicographically, faces in
@@ -233,24 +243,33 @@ def decode_convex(code, eps=None):
     for i in np.flatnonzero((ts[1:] == ts[:-1]).all(axis=1)).tolist():
         first[order[i + 1]] = first[order[i]]
     kept = np.flatnonzero(first == np.arange(n))
-    centre, radius = _chebyshev_centre(normals[kept], offsets[kept])
-    if radius <= feas:
-        raise EmptyRegion(
-            "no ball of radius above %.3g fits inside every half-space "
-            "(largest radius %.3g)" % (feas, radius)
-        )
-    try:
-        hs = HalfspaceIntersection(
-            np.column_stack([normals[kept], -offsets[kept]]), centre
-        )
-    except QhullError as exc:
-        raise EmptyRegion("half-space intersection failed: %s" % _first_line(exc))
+    w, h = normals[kept], offsets[kept]
+    hs = cheb = None
+    centre = _least_squares_centre(w, h, feas)
+    if centre is not None:
+        try:
+            hs = HalfspaceIntersection(np.column_stack([w, -h]), centre)
+        except QhullError:
+            pass
+    if hs is None:
+        hs = cheb = _chebyshev_intersection(w, h, feas)
 
     # one (plane, vertex) incidence pair per entry of a dual facet
-    facets = hs.dual_facets
-    sizes = np.fromiter(map(len, facets), dtype=np.int64, count=len(facets))
-    pair_plane = kept[np.fromiter(itertools.chain.from_iterable(facets), dtype=np.int64)]
-    pts = _vertex_points(normals, offsets, pair_plane, sizes, hs.intersections)
+    sizes, pair_plane = _incidences(hs, kept)
+    pts, missing = _triple_points(normals, offsets, pair_plane, sizes)
+    if missing.any():
+        # Qhull's own point moves with the interior point, so a vertex
+        # with no usable triple takes the Chebyshev centre's point: the
+        # output never depends on which centre served the intersection
+        if cheb is None:
+            cheb = _chebyshev_intersection(w, h, feas)
+        points = _matched_points(hs, cheb)
+        if points is None:
+            hs = cheb
+            sizes, pair_plane = _incidences(hs, kept)
+            pts = _vertex_points(normals, offsets, pair_plane, sizes, hs.intersections)
+        else:
+            pts[missing] = points[missing]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     verts = pts[order]
     rank = np.empty(len(order), dtype=np.int64)
@@ -315,6 +334,57 @@ def _surrounds_origin(normals):
     return bool(support.min() > SURROUND_RHO + SURROUND_MARGIN)
 
 
+def _least_squares_centre(normals, offsets, feas):
+    """A cheap interior point, or None when it is not provably well inside.
+
+    The point x is the least-squares fit of omega_i . x + r = h_i over
+    the planes, one 4x4 normal-equations solve, so its slacks
+    s_i = h_i - omega_i . x are as even as a fit makes them.  It is kept
+    only when both of these hold:
+
+    - its least slack exceeds ``feas``.  The ball of that radius about x
+      fits inside every half-space, so the largest inscribed ball is
+      larger still and the region is not the one ``decode_convex``
+      refuses as empty or flat.
+    - it is well centred: its least slack is at least CENTRED_SLACK
+      times the mean slack.  Qhull intersects the half-spaces through
+      the hull of the dual points omega_i / s_i, whose norms are then at
+      most 1 / (CENTRED_SLACK * mean slack); no plane lies much nearer x
+      than the planes do on average, so no dual point lies far out of
+      the cloud and Qhull's rounding stays near that of the Chebyshev
+      centre's dual points.
+
+    A non-finite slack, say from offsets near the float limit, fails a
+    test, and the caller falls back to ``_chebyshev_centre``.
+    """
+    a = np.column_stack([normals, np.ones(len(normals))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.linalg.solve(a.T @ a, a.T @ offsets)[:3]
+        slack = offsets - normals @ x
+        least = slack.min()
+        if least > feas and least >= CENTRED_SLACK * slack.mean():
+            return x
+    return None
+
+
+def _chebyshev_intersection(normals, offsets, feas):
+    """Qhull's half-space intersection from the Chebyshev centre.
+
+    EmptyRegion when the largest inscribed ball has radius at most
+    ``feas``, or when Qhull fails.
+    """
+    centre, radius = _chebyshev_centre(normals, offsets)
+    if radius <= feas:
+        raise EmptyRegion(
+            "no ball of radius above %.3g fits inside every half-space "
+            "(largest radius %.3g)" % (feas, radius)
+        )
+    try:
+        return HalfspaceIntersection(np.column_stack([normals, -offsets]), centre)
+    except QhullError as exc:
+        raise EmptyRegion("half-space intersection failed: %s" % _first_line(exc))
+
+
 def _chebyshev_centre(normals, offsets):
     """Centre and radius of the largest ball inside every half-space.
 
@@ -344,18 +414,47 @@ def _first_line(exc):
     return str(exc).partition("\n")[0]
 
 
+def _incidences(hs, kept):
+    """Each dual facet's plane count, and its planes back to back as code indices."""
+    facets = hs.dual_facets
+    sizes = np.fromiter(map(len, facets), dtype=np.int64, count=len(facets))
+    return sizes, kept[np.fromiter(itertools.chain.from_iterable(facets), dtype=np.int64)]
+
+
+def _matched_points(first, other):
+    """``other``'s intersection points in the order of ``first``'s dual facets.
+
+    Facets are matched by their sets of planes; None when the two
+    intersections do not list the same sets, each once.
+    """
+    if other is first:
+        return first.intersections
+    where = {tuple(sorted(f)): i for i, f in enumerate(other.dual_facets)}
+    at = [where.get(tuple(sorted(f)), -1) for f in first.dual_facets]
+    if sorted(at) != list(range(len(other.dual_facets))):
+        return None
+    return other.intersections[at]
+
+
 def _vertex_points(normals, offsets, flat, sizes, fallback):
+    """One point per dual facet: ``_triple_points``, else Qhull's from ``fallback``."""
+    pts, missing = _triple_points(normals, offsets, flat, sizes)
+    pts[missing] = fallback[missing]
+    return pts
+
+
+def _triple_points(normals, offsets, flat, sizes):
     """One point per dual facet from the 3x3 solves of its plane triples.
 
     ``flat`` lists the facets' planes back to back, ``sizes`` their
     counts.  Triples are taken in combination order of the sorted
     planes (``_combinations``), at most MAX_VERTEX_TRIPLES of them,
     skipping solves with condition number COND_LIMIT or more
-    (``_usable``), and summed in that order.  A facet with no usable
-    triple keeps Qhull's own intersection point from ``fallback``.
-    When every facet lists three planes, their one triple each is
-    screened and solved in one batch, with no sum: a mean of one solve
-    is that solve, bit for bit.
+    (``_usable``), and summed in that order.  Returns the points and a
+    mask of the facets with no usable triple, whose rows the caller
+    fills with Qhull's own intersection points.  When every facet lists
+    three planes, their one triple each is screened and solved in one
+    batch, with no sum: a mean of one solve is that solve, bit for bit.
     """
     if len(flat) == 3 * len(sizes):
         # every facet lists at least three planes, so here each lists
@@ -366,8 +465,9 @@ def _vertex_points(normals, offsets, flat, sizes, fallback):
         if not ok.all():
             a[~ok] = np.eye(3)
         sol = np.linalg.solve(a, offsets[triples][:, :, None])[:, :, 0]
-        return np.where(ok[:, None], sol, fallback)
-    pts = np.array(fallback, dtype=float)
+        return sol, ~ok
+    pts = np.zeros((len(sizes), 3))
+    missing = np.ones(len(sizes), dtype=bool)
     starts = np.cumsum(sizes) - sizes
     for k in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == k)
@@ -383,7 +483,8 @@ def _vertex_points(normals, offsets, flat, sizes, fallback):
         used = ok.sum(axis=1)
         some = used > 0
         pts[rows[some]] = sol[some].sum(axis=1, initial=-0.0) / used[some, None]
-    return pts
+        missing[rows[some]] = False
+    return pts, missing
 
 
 def _usable(a):

@@ -226,13 +226,30 @@ def test_a_huge_mesh_exits_with_one_line(capsys, tmp_path, cube_mesh, scale, rc,
 
 def test_a_code_too_large_for_qhull_exits_with_one_line(capsys, tmp_path, cube_mesh):
     """Qhull's precision report is cut to its first line in the EmptyRegion text."""
-    code = encode_convex(TriangleMesh(cube_mesh.vertices * 1e15, cube_mesh.triangles))
-    code_path = tmp_path / "c15.plnc"
+    # a flat box refuses the least-squares centre, and the lifted hull
+    # of its planes loses its precision at this scale
+    scale = np.array([1e15, 1e15, 1e12])
+    code = encode_convex(TriangleMesh(cube_mesh.vertices * scale, cube_mesh.triangles))
+    code_path = tmp_path / "box15.plnc"
     code_path.write_bytes(write_code(code))
     rc, out, err = run(capsys, "decode", str(code_path), str(tmp_path / "o.obj"))
     assert (rc, out) == (3, "")
     assert err.startswith("EmptyRegion: lifted planes have no lower hull: QH")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_a_cube_scaled_by_1e15_round_trips(capsys, tmp_path, cube_mesh):
+    mesh = TriangleMesh(cube_mesh.vertices * 1e15, cube_mesh.triangles)
+    code = read_code(write_code(encode_convex(mesh)))
+    assert decode_convex(code).to_mesh().volume() == pytest.approx(1e45, rel=1e-7)
+    code_path = tmp_path / "c15.plnc"
+    code_path.write_bytes(write_code(code))
+    out_path = tmp_path / "c15.obj"
+    rc, _, err = run(capsys, "decode", str(code_path), str(out_path))
+    assert (rc, err) == (0, "")
+    back = load_mesh(out_path.read_text(), "obj")
+    assert back.is_closed
+    assert back.volume() == pytest.approx(1e45, rel=1e-7)
 
 
 def test_junk_code_exits_4(capsys, tmp_path, cube_obj):

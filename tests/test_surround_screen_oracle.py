@@ -12,14 +12,24 @@ random normal sets in and near a hemisphere, 4- and 5-plane codes,
 coplanar and duplicated normals, and the part codes of segmented
 fixtures.  ``_vertex_points`` solves simple vertices (three planes) in
 one batch; it must match the earlier triple loop bit for bit and
-estimate each near-singular triple's condition number once.
+estimate each near-singular triple's condition number once.  A common
+decode builds no hull at all: its interior point is the least-squares
+centre.  Only a decode whose centre is refused, or whose intersection
+from it fails, builds the 4-D hull of the Chebyshev centre.
 """
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull, QhullError, SphericalVoronoi, cKDTree
+from scipy.spatial import (
+    ConvexHull,
+    HalfspaceIntersection,
+    QhullError,
+    SphericalVoronoi,
+    cKDTree,
+)
 
 from planecode import (
+    EmptyRegion,
     PlaneSet,
     UnboundedRegion,
     decode_convex,
@@ -197,7 +207,9 @@ def counting_hulls(monkeypatch):
     return dims
 
 
-def test_a_common_decode_builds_only_the_lifted_hull(monkeypatch):
+def test_a_common_decode_builds_no_hull(monkeypatch):
+    # the least-squares centre is accepted, so neither the normals' hull
+    # nor the lifted hull of the Chebyshev centre is built
     codes = [
         shapes.ngon_prism_code(12),
         encode_convex(shapes.cube()),
@@ -205,9 +217,44 @@ def test_a_common_decode_builds_only_the_lifted_hull(monkeypatch):
     ]
     dims = counting_hulls(monkeypatch)
     for code in codes:
-        dims.clear()
         decode_convex(code)
+    assert dims == []
+
+
+def test_a_refused_centre_builds_only_the_lifted_hull(monkeypatch):
+    # a slab of the unit cube's planes: its least slack is far below
+    # half its mean slack, so the least-squares centre is refused
+    cube = encode_convex(shapes.cube())
+    top = cube.normals()[:, 2] == 1.0
+    dims = counting_hulls(monkeypatch)
+    for thickness, empty in ((1e-3, False), (1e-10, True), (-1e-12, True)):
+        code = PlaneSet.from_normals(cube.normals(), np.where(top, thickness, cube.offsets()))
+        assert convex._least_squares_centre(code.normals(), code.offsets(), 1e-9) is None
+        dims.clear()
+        got = outcome(decode_convex, code)
         assert dims == [4]
+        assert (got[0] is EmptyRegion) == empty
+        assert got == outcome(oracle_decode_convex, code)
+        if empty:
+            assert got[1].startswith("no ball of radius above 1e-09 fits inside every half-space")
+
+
+def test_a_failed_intersection_from_the_centre_falls_back(monkeypatch):
+    # at 1e90 the least-squares centre is accepted, but Qhull cannot
+    # intersect from it; the Chebyshev path then fails as it always did
+    cube = encode_convex(shapes.cube())
+    code = PlaneSet.from_normals(cube.normals(), cube.offsets() * 1e90)
+    feas = convex.FEAS_REL * 1e90
+    centre = convex._least_squares_centre(code.normals(), code.offsets(), feas)
+    assert centre is not None
+    with pytest.raises(QhullError):
+        HalfspaceIntersection(np.column_stack([code.normals(), -code.offsets()]), centre)
+    dims = counting_hulls(monkeypatch)
+    got = outcome(decode_convex, code)
+    assert dims == [4]
+    assert got == outcome(oracle_decode_convex, code)
+    assert got[0] is EmptyRegion
+    assert got[1].startswith("lifted planes have no lower hull: QH6154")
 
 
 def test_normals_in_a_hemisphere_still_build_the_normal_hull(monkeypatch):
