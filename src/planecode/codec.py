@@ -96,16 +96,21 @@ def write_code(code):
     )
 
 
-def _parse_planes(data, offset, count, label):
-    raw = (
-        np.frombuffer(data, dtype="<f4", count=3 * count, offset=offset)
-        .astype(np.float64)
-        .reshape(count, 3)
-    )
+def _parse_planes(records, labels):
+    """One PlaneSet of float32 ``records``: one range check and one sin/cos pass.
+
+    ``labels`` names the record sets back to back, as (label, count)
+    pairs.  A row out of range raises AngleOutOfRange naming its set
+    and its place in that set.
+    """
+    rows = np.frombuffer(records, dtype="<f4").astype(np.float64).reshape(-1, 3)
     try:
-        return PlaneSet(raw)
+        return PlaneSet(rows)
     except ValueError as exc:
-        raise _out_of_range(label, raw, exc.row)
+        ends = np.cumsum([count for _, count in labels])
+        k = int(np.searchsorted(ends, exc.row, side="right"))
+        start = int(ends[k]) - labels[k][1]
+        raise _out_of_range(labels[k][0], rows[start:], exc.row - start)
 
 
 def read_code(data):
@@ -137,10 +142,18 @@ def _read_convex(data):
         )
     if len(data) > expected:
         raise TruncatedPayload("%d trailing byte(s)" % (len(data) - expected))
-    return _parse_planes(data, 10, count, "plane")
+    return _parse_planes(memoryview(data)[10:], [("plane", count)])
 
 
 def _read_segmented(data):
+    """The parts of a segmented code, all their records read as one PlaneSet.
+
+    The headers are walked first; the records of the parts before the
+    first bad header are then checked in file order, so an error comes
+    out as a part-by-part read would raise it: a bad record before a bad
+    header or trailing bytes wins.  Each part's face and boundary sets
+    are slices of the one set, with its normals.
+    """
     if len(data) < 10:
         raise TruncatedPayload("missing part count")
     (n_parts,) = struct.unpack_from("<I", data, 6)
@@ -152,30 +165,39 @@ def _read_segmented(data):
             % (n_parts, len(data) - 10)
         )
     off = 10
-    parts = []
+    heads, failure = [], None
     for i in range(n_parts):
         if off + 9 > len(data):
-            raise TruncatedPayload("part %d header cut short" % i)
+            failure = TruncatedPayload("part %d header cut short" % i)
+            break
         kind_byte, n_face, n_boundary = struct.unpack_from("<BII", data, off)
         part_kind = _PART_KIND_OF_BYTE.get(kind_byte)
         if part_kind is None:
-            raise UnsupportedVersion(
-                "part %d has unknown kind byte %d" % (i, kind_byte)
-            )
+            failure = UnsupportedVersion("part %d has unknown kind byte %d" % (i, kind_byte))
+            break
         off += 9
-        need = 12 * (int(n_face) + int(n_boundary))
-        if off + need > len(data):
-            raise TruncatedPayload(
-                "part %d declares %d plane(s) but payload ends early"
-                % (i, int(n_face) + int(n_boundary))
+        if off + 12 * (n_face + n_boundary) > len(data):
+            failure = TruncatedPayload(
+                "part %d declares %d plane(s) but payload ends early" % (i, n_face + n_boundary)
             )
-        face = _parse_planes(data, off, int(n_face), "part %d face" % i)
-        off += 12 * int(n_face)
-        boundary = _parse_planes(
-            data, off, int(n_boundary), "part %d boundary" % i
-        )
-        off += 12 * int(n_boundary)
-        parts.append(PartCode(part_kind, face, boundary))
-    if off != len(data):
-        raise TruncatedPayload("%d trailing byte(s)" % (len(data) - off))
+            break
+        heads.append((part_kind, n_face, n_boundary, off))
+        off += 12 * (n_face + n_boundary)
+    if failure is None and off != len(data):
+        failure = TruncatedPayload("%d trailing byte(s)" % (len(data) - off))
+    view = memoryview(data)
+    planes = _parse_planes(
+        b"".join(view[o:o + 12 * (f + b)] for _, f, b, o in heads),
+        [
+            (label % i, count)
+            for i, (_, f, b, _) in enumerate(heads)
+            for label, count in (("part %d face", f), ("part %d boundary", b))
+        ],
+    )
+    if failure is not None:
+        raise failure
+    parts, start = [], 0
+    for kind, f, b, _ in heads:
+        parts.append(PartCode(kind, planes[start:start + f], planes[start + f:start + f + b]))
+        start += f + b
     return SegmentedCode(parts)

@@ -7,9 +7,14 @@ solid itself is the intersection of their closed negative half-spaces.
 module reads normals and offsets from it instead of rebuilding them.
 It is the one plane container: a single plane is one of its rows, a
 ``(nu, phi, h)`` tuple, with no object of its own.
-Decoding first checks that the normals surround the origin, mostly by
-a certified screen of 128 support values and only otherwise by the 3-D
-hull of the normals.  It then needs an interior point.  The least-squares
+Decoding (``decode_regions``, of which ``decode_convex`` is the
+one-region case) takes a list of plane sets.  Qhull runs once per
+region, and every other step once over all the regions' planes back to
+back, so the parts of a segmented code share one pass of numpy glue.
+Each region is decoded in unit scale, its offsets over a power of two,
+so a code decodes at any finite scale.  Decoding first checks that the
+normals surround the origin, mostly by a certified screen of 128
+support values and only otherwise by the 3-D hull of the normals.  It then needs an interior point.  The least-squares
 centre of the planes, one 4x4 solve, serves when it is provably well
 inside; otherwise the centre of the largest inscribed ball, read off the
 lower hull of the planes lifted to R^4, does.  Qhull's half-space
@@ -29,8 +34,9 @@ mesh and slack and caches it on the mesh, so ``encode_convex``,
 ``mesh_io.count_coplanar_patches`` and every part of a segmented encode
 read one set of patches, one ``patch_planes`` call's rows and, when a part
 asks, one grouped edge table's patch borders.  A part that cuts a patch
-builds a table of its own triangles instead.  The part decode that
-negates pseudo-concave faces lives in ``polygonize.decode_part``.
+builds a table of its own triangles instead.  The part decodes that
+negate pseudo-concave faces live in ``polygonize`` (``decode_part`` and
+``decode_parts``).
 """
 
 import functools
@@ -41,7 +47,14 @@ import weakref
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .errors import EmptyRegion, NotARotation, NotClosed, UnboundedRegion, NotConvex
+from .errors import (
+    EmptyRegion,
+    GeometryError,
+    NotARotation,
+    NotClosed,
+    NotConvex,
+    UnboundedRegion,
+)
 from .geometry import (
     SNAP_AXIS,
     angle_rows,
@@ -180,34 +193,61 @@ class ConvexPolyhedron:
 def decode_convex(code, eps=None):
     """Intersect the closed negative half-spaces of ``code``.
 
-    The normals must surround the origin, else UnboundedRegion.  A
-    screen (``_surrounds_origin``) proves that for most codes from 128
-    support values: when the normals' support function exceeds the
-    net's covering radius plus SURROUND_MARGIN in every direction of
-    SURROUND_NET, their hull holds a ball about the origin.  Only codes
-    it cannot clear build the 3-D hull of the normals, whose facets
-    must all pass more than 1e-9 from the origin.
+    The one-region case of ``decode_regions``: returns the region's
+    ConvexPolyhedron, or raises the GeometryError it returns.
+    """
+    poly = decode_regions([code], eps)[0]
+    if isinstance(poly, GeometryError):
+        raise poly
+    return poly
+
+
+def decode_regions(codes, eps=None):
+    """Intersect the closed negative half-spaces of each PlaneSet in ``codes``.
+
+    Returns, for each region in order, its ConvexPolyhedron or the
+    GeometryError its decode raises, so that a caller raises the errors
+    of many regions in its own order.  Qhull runs once per region;
+    every other step runs once over all the regions' planes back to
+    back, and each region's values round as they would alone.
+
+    A region needs four planes, and normals that surround the origin,
+    else UnboundedRegion.  A screen (``_surrounds_origin``) proves the
+    latter for most codes from 128 support values: when the normals'
+    support function exceeds the net's covering radius plus
+    SURROUND_MARGIN in every direction of SURROUND_NET, their hull holds
+    a ball about the origin.  Only a region it cannot clear builds the
+    3-D hull of its normals, whose facets must all pass more than 1e-9
+    from the origin.
+    Each region is decoded in unit scale: its offsets and ``eps``
+    (default FEAS_REL * max(1, max |h|)) are divided by 2^k, k the
+    binary exponent of its max |h|, and its vertices multiplied back.
+    A power of two scales exactly, and a triple solve's pivots read only
+    the normals, so a solved vertex keeps its bits, while offsets near
+    the float limit no longer overflow Qhull; error texts give radii in
+    the caller's units.
     The interior point is first the least-squares centre
-    (``_least_squares_centre``, one 4x4 solve), kept only when a ball
-    larger than ``eps`` (default FEAS_REL * max(1, max |h|)) fits about
-    it and it is well centred.  When it is refused, or Qhull's
-    intersection from it fails, the interior point is the centre of the
-    largest ball inside every half-space (``_chebyshev_centre``, one 4-D
-    hull); when that ball's radius is at most ``eps`` the region is
-    empty or flat, say a zero-thickness slab, and EmptyRegion is raised.
+    (``_least_squares_centres``, one 4x4 solve per region, stacked),
+    kept only when a ball larger than ``eps`` fits about it and it is
+    well centred.  When it is refused, or Qhull's intersection from it
+    fails, the interior point is the centre of the largest ball inside
+    every half-space (``_chebyshev_centre``, one 4-D hull); when that
+    ball's radius is at most ``eps`` the region is empty or flat, say a
+    zero-thickness slab, and its result is EmptyRegion.
     Qhull's half-space intersection (Barber, Dobkin and Huhdanpaa, ACM
-    TOMS 1996) gives one dual facet per vertex, listing the planes
-    that meet there; the vertex is the mean, in combination order, of
-    the 3x3 solves of those planes' triples (``_triple_points``), with
-    triples of condition number COND_LIMIT or more skipped; a closed-form
-    determinant clears most triples, since cond(A) <= 2 / |det A| for
-    unit rows, and only the rest need an SVD condition estimate.  When
-    every vertex has three planes, as at a simple vertex, all of them
-    are solved in one batch.  A vertex with no usable triple takes
-    Qhull's own intersection point, which moves with the interior point,
-    so it is always taken from the Chebyshev centre's intersection; when
-    that intersection lists other dual facets, its whole output is
-    used.  So a typical decode makes one Qhull call, the intersection.
+    TOMS 1996) gives one dual facet per vertex, listing the planes that
+    meet there; the vertex is the mean, in combination order, of the
+    3x3 solves of those planes' triples (``_triple_points``), with
+    triples of condition number COND_LIMIT or more skipped; a
+    closed-form determinant clears most triples, since
+    cond(A) <= 2 / |det A| for unit rows, and only the rest need an SVD
+    condition estimate.  When every vertex has three planes, as at a
+    simple vertex, all of them are solved in one batch.  A vertex with
+    no usable triple takes Qhull's own intersection point, which moves
+    with the interior point, so it is always taken from the Chebyshev
+    centre's intersection; when that intersection lists other dual
+    facets, the region takes its whole output.  So a typical region
+    makes one Qhull call, the intersection.
     Each plane's ring holds exactly the vertices whose dual facets list
     it, in the order of their normal cones (``_rings``).
     An exact duplicate plane, which Qhull sees once, shares its first
@@ -216,77 +256,178 @@ def decode_convex(code, eps=None):
     plane order, each ring counterclockwise from outside and starting
     at its smallest vertex index.
     """
-    n = len(code)
-    if n < 4:
-        raise UnboundedRegion("%d half-space(s) cannot bound a volume" % n)
-    normals = code.normals()
-    offsets = code.offsets()
+    codes = list(codes)
+    out = [None] * len(codes)
+    live = []
+    for r, code in enumerate(codes):
+        if len(code) < 4:
+            out[r] = UnboundedRegion("%d half-space(s) cannot bound a volume" % len(code))
+        else:
+            live.append(r)
+    if not live:
+        return out
+    normals, t, starts = _stacked(codes, live)
+    cleared = _surrounds_origin(normals, starts)
+    if not all(cleared):
+        for i, ok in enumerate(cleared):
+            if not ok:
+                out[live[i]] = _surround_error(normals[starts[i]:starts[i + 1]])
+        if any(out[r] is not None for r in live):
+            live = [r for r in live if out[r] is None]
+            if not live:
+                return out
+            normals, t, starts = _stacked(codes, live)
+    k = len(live)
+    total = starts[-1]
 
-    if not _surrounds_origin(normals):
-        try:
-            hull = ConvexHull(normals)
-        except QhullError:
-            raise UnboundedRegion("plane normals are degenerate (coplanar or fewer)")
-        if hull.equations[:, 3].max() > -1e-9:
-            raise UnboundedRegion("normals do not surround the origin")
-
-    feas = FEAS_REL * max(1.0, float(np.abs(offsets).max())) if eps is None else eps
+    # each region in unit scale: its offsets and ``feas`` over 2^e, e the
+    # binary exponent of its largest |h|, so that its offsets lie in [0, 1)
+    if k > 1:
+        top = np.maximum.reduceat(np.abs(t[:, 2]), starts[:-1]).tolist()
+    else:
+        top = [float(np.abs(t[:, 2]).max())]
+    e = [math.frexp(x)[1] for x in top]
+    feas = [math.ldexp(FEAS_REL * max(1.0, x) if eps is None else eps, -y) for x, y in zip(top, e)]
+    if k > 1:
+        region = np.repeat(np.arange(k), np.diff(starts))
+        offsets = np.ldexp(t[:, 2], np.negative(e)[region])
+        order = np.lexsort((*t.T[::-1], region))
+    else:
+        offsets = np.ldexp(t[:, 2], -e[0])
+        order = np.lexsort(t.T[::-1])
 
     # Qhull sees each distinct plane once; ``first`` maps every plane to
-    # the index of its first exact copy.  Equal rows sit side by side,
-    # first copy first, in the stable lexicographic order, which like
-    # ``==`` takes h = -0.0 and 0.0 as equal.
-    t = code.triplets()
-    order = np.lexsort((t[:, 2], t[:, 1], t[:, 0]))
+    # the index of its first exact copy in its region.  Equal rows of a
+    # region sit side by side, first copy first, in the stable
+    # lexicographic order, which like ``==`` takes h = -0.0 and 0.0 as
+    # equal; with the region as the leading key, each region keeps its
+    # positions.  Two regions never meet in an equal pair: a region's
+    # last row has its largest nu, above pi/2 since some normal points
+    # down, and the next region's first row its least, below pi/2.
     ts = t[order]
-    first = np.arange(n)
-    for i in np.flatnonzero((ts[1:] == ts[:-1]).all(axis=1)).tolist():
-        first[order[i + 1]] = first[order[i]]
-    kept = np.flatnonzero(first == np.arange(n))
-    w, h = normals[kept], offsets[kept]
-    hs = cheb = None
-    centre = _least_squares_centre(w, h, feas)
-    if centre is not None:
-        try:
-            hs = HalfspaceIntersection(np.column_stack([w, -h]), centre)
-        except QhullError:
-            pass
-    if hs is None:
-        hs = cheb = _chebyshev_intersection(w, h, feas)
+    same = (ts[1:] == ts[:-1]).all(axis=1)
+    first = np.arange(total)
+    if same.any():
+        for i in np.flatnonzero(same).tolist():
+            first[order[i + 1]] = first[order[i]]
+        kept = np.flatnonzero(first == np.arange(total))
+        w, h = normals[kept], offsets[kept]
+        bounds = np.searchsorted(kept, starts).tolist()
+    else:
+        kept, w, h, bounds = first, normals, offsets, starts
 
-    # one (plane, vertex) incidence pair per entry of a dual facet
-    sizes, pair_plane = _incidences(hs, kept)
+    # one Qhull intersection per region, and its (plane, vertex)
+    # incidence pairs, one per entry of a dual facet
+    done = []
+    for i, centre in enumerate(_least_squares_centres(w, h, feas, bounds)):
+        a, b = bounds[i], bounds[i + 1]
+        hs = cheb = None
+        if centre is not None:
+            try:
+                hs = HalfspaceIntersection(_augmented(w[a:b], -h[a:b]), centre)
+            except QhullError:
+                pass
+        if hs is None:
+            try:
+                hs = cheb = _chebyshev_intersection(w[a:b], h[a:b], feas[i], e[i])
+            except GeometryError as exc:
+                out[live[i]] = exc
+                continue
+        done.append((i, hs, cheb, *_incidences(hs, kept[a:b])))
+    if not done:
+        return out
+    sizes = _joined([d[3] for d in done])
+    pair_plane = _joined([d[4] for d in done])
     pts, missing = _triple_points(normals, offsets, pair_plane, sizes)
     if missing.any():
         # Qhull's own point moves with the interior point, so a vertex
         # with no usable triple takes the Chebyshev centre's point: the
         # output never depends on which centre served the intersection
-        if cheb is None:
-            cheb = _chebyshev_intersection(w, h, feas)
-        points = _matched_points(hs, cheb)
-        if points is None:
-            hs = cheb
-            sizes, pair_plane = _incidences(hs, kept)
-            pts = _vertex_points(normals, offsets, pair_plane, sizes, hs.intersections)
-        else:
-            pts[missing] = points[missing]
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    verts = pts[order]
+        cuts = np.cumsum([len(d[3]) for d in done])[:-1]
+        redone, blocks = [], []
+        for (i, hs, cheb, n, pairs), p, m in zip(done, np.split(pts, cuts), np.split(missing, cuts)):
+            if m.any():
+                a, b = bounds[i], bounds[i + 1]
+                if cheb is None:
+                    try:
+                        cheb = _chebyshev_intersection(w[a:b], h[a:b], feas[i], e[i])
+                    except GeometryError as exc:
+                        out[live[i]] = exc
+                        continue
+                points = _matched_points(hs, cheb)
+                if points is None:
+                    hs, (n, pairs) = cheb, _incidences(cheb, kept[a:b])
+                    p = _vertex_points(normals, offsets, pairs, n, cheb.intersections)
+                else:
+                    p[m] = points[m]
+            redone.append((i, hs, cheb, n, pairs))
+            blocks.append(p)
+        done = redone
+        if not done:
+            return out
+        pts = _joined(blocks)
+        sizes = _joined([d[3] for d in done])
+        pair_plane = _joined([d[4] for d in done])
+
+    # vertices sorted within each region and scaled back
+    nv = [len(d[3]) for d in done]
+    vstart = list(itertools.accumulate(nv, initial=0))
+    if len(done) > 1:
+        vregion = np.repeat(np.arange(len(done)), nv)
+        order = np.lexsort((*pts.T[::-1], vregion))
+        scale = np.repeat([e[d[0]] for d in done], nv)[:, None]
+    else:
+        order = np.lexsort(pts.T[::-1])
+        scale = e[done[0][0]]
+    verts = np.ldexp(pts[order], scale)
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     pair_vert = np.repeat(rank, sizes)
-    cones = np.zeros_like(verts)
+    cones = np.zeros_like(pts)
     np.add.at(cones, pair_vert, normals[pair_plane])
 
-    count = np.bincount(pair_plane, minlength=n)
+    # each ring numbers its vertices within its region
+    count = np.bincount(pair_plane, minlength=total)
     face = count[pair_plane] >= 3
-    rings = _rings(normals, cones, pair_plane[face], pair_vert[face])
+    local = pair_vert[face]
+    if len(done) > 1:
+        local = local - np.repeat(vstart[:-1], nv)[local]
+    rings = _rings(normals, cones[pair_vert[face]], pair_plane[face], local)
 
     carrying = count[first] >= 3
-    face_planes = np.flatnonzero(carrying).tolist()
-    faces = [rings[j] for j in first[carrying].tolist()]
-    redundant = np.flatnonzero(~carrying).tolist()
-    return ConvexPolyhedron(verts, faces, face_planes, code, redundant)
+    faced, spare, first = carrying.tolist(), (~carrying).tolist(), first.tolist()
+    for (i, *_), vs, ve in zip(done, vstart, vstart[1:]):
+        a, b = starts[i], starts[i + 1]
+        out[live[i]] = ConvexPolyhedron(
+            verts[vs:ve],
+            [rings[j] for j in itertools.compress(first[a:b], faced[a:b])],
+            list(itertools.compress(range(b - a), faced[a:b])),
+            codes[live[i]],
+            list(itertools.compress(range(b - a), spare[a:b])),
+        )
+    return out
+
+
+def _stacked(codes, live):
+    """Normals and rows of ``codes[r]`` for r in ``live``, back to back, and each one's start.
+
+    The starts are a list that ends with the total.
+    """
+    if len(live) == 1:
+        code = codes[live[0]]
+        return code.normals(), code.triplets(), [0, len(code)]
+    sets = [codes[r] for r in live]
+    starts = list(itertools.accumulate(map(len, sets), initial=0))
+    return (
+        np.concatenate([c.normals() for c in sets]),
+        np.concatenate([c.triplets() for c in sets]),
+        starts,
+    )
+
+
+def _joined(arrays):
+    """``np.concatenate(arrays)``, with a single array returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _fibonacci_sphere(k):
@@ -316,71 +457,110 @@ SURROUND_NET = _fibonacci_sphere(SURROUND_DIRECTIONS)
 SURROUND_RHO = _covering_radius(SURROUND_NET)
 
 
-def _surrounds_origin(normals):
-    """Whether the unit ``normals`` provably surround the origin with room to spare.
+def _augmented(normals, last):
+    """(n, 4) rows of the (n, 3) ``normals`` with ``last`` as a fourth column.
 
-    The support function h(d) = max_i omega_i . d of unit normals moves
-    by at most |d - d'| between two directions, and every unit vector
-    lies within SURROUND_RHO of a direction d_j of SURROUND_NET.  So
-    when every h(d_j) exceeds SURROUND_RHO + SURROUND_MARGIN, h exceeds
-    SURROUND_MARGIN everywhere: the normals' hull holds the ball of
-    that radius about the origin, every facet of it lies farther than
-    that from the origin, and the normals span three dimensions.  That
-    is the answer ``decode_convex``'s hull check would reach, far
-    beyond its 1e-9 slack and Qhull's rounding.  A False, NaN normals
-    included, proves nothing; the caller then runs the check itself.
+    The values of ``np.column_stack``, without its overhead.
     """
-    support = (normals @ SURROUND_NET.T).max(axis=0)
-    return bool(support.min() > SURROUND_RHO + SURROUND_MARGIN)
+    out = np.empty((len(normals), 4))
+    out[:, :3] = normals
+    out[:, 3] = last
+    return out
 
 
-def _least_squares_centre(normals, offsets, feas):
-    """A cheap interior point, or None when it is not provably well inside.
+def _surrounds_origin(normals, starts):
+    """Whether each region's unit normals provably surround the origin with room to spare.
 
-    The point x is the least-squares fit of omega_i . x + r = h_i over
-    the planes, one 4x4 normal-equations solve, so its slacks
-    s_i = h_i - omega_i . x are as even as a fit makes them.  It is kept
-    only when both of these hold:
+    Region i holds the rows from ``starts[i]`` to ``starts[i + 1]``.  The
+    support function h(d) = max_i omega_i . d of unit normals moves by
+    at most |d - d'| between two directions, and every unit vector lies
+    within SURROUND_RHO of a direction d_j of SURROUND_NET.  So when
+    every h(d_j) exceeds SURROUND_RHO + SURROUND_MARGIN, h exceeds
+    SURROUND_MARGIN everywhere: the normals' hull holds the ball of that
+    radius about the origin, every facet of it lies farther than that
+    from the origin, and the normals span three dimensions.  That is the
+    answer ``_surround_error``'s hull check would reach, far beyond its
+    1e-9 slack and Qhull's rounding.  A False, NaN normals included,
+    proves nothing; the caller then runs the check itself.  Returns one
+    bool per region.
+    """
+    support = normals @ SURROUND_NET.T
+    bound = SURROUND_RHO + SURROUND_MARGIN
+    if len(starts) == 2:
+        return [bool(support.max(axis=0).min() > bound)]
+    return (np.maximum.reduceat(support, starts[:-1]).min(axis=1) > bound).tolist()
 
-    - its least slack exceeds ``feas``.  The ball of that radius about x
-      fits inside every half-space, so the largest inscribed ball is
-      larger still and the region is not the one ``decode_convex``
-      refuses as empty or flat.
+
+def _surround_error(normals):
+    """UnboundedRegion unless the hull of the unit ``normals`` keeps 1e-9 off the origin."""
+    try:
+        hull = ConvexHull(normals)
+    except QhullError:
+        return UnboundedRegion("plane normals are degenerate (coplanar or fewer)")
+    if hull.equations[:, 3].max() > -1e-9:
+        return UnboundedRegion("normals do not surround the origin")
+    return None
+
+
+def _least_squares_centres(normals, offsets, feas, bounds):
+    """One cheap interior point per region, or None where it is not provably well inside.
+
+    Region i holds the rows from ``bounds[i]`` to ``bounds[i + 1]``.  Its
+    point x is the least-squares fit of omega_j . x + r = h_j over its
+    planes, one 4x4 normal-equations solve, all regions' solves stacked,
+    so its slacks s_j = h_j - omega_j . x are as even as a fit makes
+    them.  It is kept only when both of these hold:
+
+    - its least slack exceeds ``feas[i]``.  The ball of that radius
+      about x fits inside every half-space, so the largest inscribed
+      ball is larger still and the region is not the one
+      ``decode_regions`` refuses as empty or flat.
     - it is well centred: its least slack is at least CENTRED_SLACK
       times the mean slack.  Qhull intersects the half-spaces through
-      the hull of the dual points omega_i / s_i, whose norms are then at
+      the hull of the dual points omega_j / s_j, whose norms are then at
       most 1 / (CENTRED_SLACK * mean slack); no plane lies much nearer x
       than the planes do on average, so no dual point lies far out of
       the cloud and Qhull's rounding stays near that of the Chebyshev
       centre's dual points.
 
-    A non-finite slack, say from offsets near the float limit, fails a
-    test, and the caller falls back to ``_chebyshev_centre``.
+    A single region's sums are BLAS products, as they always were;
+    several regions' sums run in row order, per region.  A non-finite
+    slack fails a test, and the caller falls back to
+    ``_chebyshev_centre``.
     """
-    a = np.column_stack([normals, np.ones(len(normals))])
+    a = _augmented(normals, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.linalg.solve(a.T @ a, a.T @ offsets)[:3]
-        slack = offsets - normals @ x
-        least = slack.min()
-        if least > feas and least >= CENTRED_SLACK * slack.mean():
-            return x
-    return None
+        if len(bounds) == 2:
+            x = np.linalg.solve(a.T @ a, a.T @ offsets)[:3]
+            slack = offsets - normals @ x
+            least = slack.min()
+            return [x if least > feas[0] and least >= CENTRED_SLACK * slack.mean() else None]
+        starts = bounds[:-1]
+        n = np.diff(bounds)
+        m = np.add.reduceat(a[:, :, None] * a[:, None, :], starts)
+        x = np.linalg.solve(m, np.add.reduceat(a * offsets[:, None], starts)[:, :, None])
+        x = x[:, :3, 0]
+        slack = offsets - row_dots(normals, np.repeat(x, n, axis=0))
+        least = np.minimum.reduceat(slack, starts)
+        ok = (least > feas) & (least >= CENTRED_SLACK * np.add.reduceat(slack, starts) / n)
+    return [c if good else None for c, good in zip(x, ok.tolist())]
 
 
-def _chebyshev_intersection(normals, offsets, feas):
+def _chebyshev_intersection(normals, offsets, feas, e=0):
     """Qhull's half-space intersection from the Chebyshev centre.
 
     EmptyRegion when the largest inscribed ball has radius at most
-    ``feas``, or when Qhull fails.
+    ``feas``, or when Qhull fails.  The offsets and ``feas`` are in units
+    of 2^e, and the error text gives radii in the caller's units.
     """
     centre, radius = _chebyshev_centre(normals, offsets)
     if radius <= feas:
         raise EmptyRegion(
             "no ball of radius above %.3g fits inside every half-space "
-            "(largest radius %.3g)" % (feas, radius)
+            "(largest radius %.3g)" % (math.ldexp(feas, e), math.ldexp(radius, e))
         )
     try:
-        return HalfspaceIntersection(np.column_stack([normals, -offsets]), centre)
+        return HalfspaceIntersection(_augmented(normals, -offsets), centre)
     except QhullError as exc:
         raise EmptyRegion("half-space intersection failed: %s" % _first_line(exc))
 
@@ -524,16 +704,16 @@ def _combinations(k):
 def _rings(normals, cones, plane, vert):
     """Counterclockwise vertex rings from (plane, vertex) incidence pairs.
 
-    ``cones[j]`` is the sum of the unit normals of the planes meeting at
-    vertex j.  Projected into a face's plane it points into the vertex's
-    normal cone within the face, and those cones follow the face's
-    vertices once around in counterclockwise order.  So each plane's
-    vertices are sorted by the angle of their cone sums in the plane
-    basis (u, v = omega x u), where u is the coordinate axis least
+    ``cones[i]`` is the sum of the unit normals of the planes meeting at
+    pair i's vertex.  Projected into a face's plane it points into the
+    vertex's normal cone within the face, and those cones follow the
+    face's vertices once around in counterclockwise order.  So each
+    plane's vertices are sorted by the angle of their cone sums in the
+    plane basis (u, v = omega x u), where u is the coordinate axis least
     aligned with omega, projected onto the plane.  Unlike the angles of
     the vertices themselves, these angles stay apart when vertices lie
     closer than coordinate rounding.  Each ring then starts at its
-    smallest vertex index.  Returns a dict from plane to ring.
+    smallest vertex number.  Returns a dict from plane to ring.
 
     The basis is built once per plane, with v from ``cross``, so it
     rounds exactly as a basis built per pair would.
@@ -542,10 +722,9 @@ def _rings(normals, cones, plane, vert):
     at = (np.arange(len(w)), np.argmin(np.abs(w), axis=1))
     u = -w * w[at][:, None]
     u[at] += 1.0
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u /= np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))  # np.linalg.norm's sum
     v = cross(w, u)
-    c = cones[vert]
-    ang = np.arctan2((c * v[plane]).sum(axis=1), (c * u[plane]).sum(axis=1))
+    ang = np.arctan2((cones * v[plane]).sum(axis=1), (cones * u[plane]).sum(axis=1))
     order = np.lexsort((ang, plane))
     rings = {}
     for p, j in zip(plane[order].tolist(), vert[order].tolist()):

@@ -159,15 +159,16 @@ def _obj_index(token, n_verts, lineno):
 
 
 def write_obj(mesh, comment=None):
-    """Mesh as OBJ text; float repr keeps coordinates round-trippable."""
-    lines = []
-    if comment:
-        lines.append("# %s" % comment)
-    for x, y, z in mesh.vertices.tolist():
-        lines.append("v %r %r %r" % (x, y, z))
-    for a, b, c in mesh.triangles.tolist():
-        lines.append("f %d %d %d" % (a + 1, b + 1, c + 1))
-    return "\n".join(lines) + "\n"
+    """Mesh as OBJ text; float repr keeps coordinates round-trippable.
+
+    All vertex lines come from one format string, and all face lines
+    from another.
+    """
+    head = "# %s\n" % comment if comment else ""
+    v = mesh.vertices.ravel().tolist()
+    f = (mesh.triangles + 1).ravel().tolist()
+    text = "v %r %r %r\n" * (len(v) // 3) % tuple(v) + "f %d %d %d\n" * (len(f) // 3) % tuple(f)
+    return head + text or "\n"
 
 
 def _coordinates(fields, lineno):

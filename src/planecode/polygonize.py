@@ -4,11 +4,13 @@ Each mesh part is coded as two plane groups: its polygonized face
 planes, and extra "cutting" planes that close the part's open boundary
 so the convex decoder can rebuild it.  Decoding a pseudo-concave part
 negates its face planes (the two part kinds are dual under negation),
-decodes with the convex machinery, and flips the windings back;
-``decode_part`` is the one place that does this, for decoding and for
-simplification alike.  The cutting planes are stored already oriented
-so the part's own vertices sit in their closed negative half-spaces;
-they are used as stored for both part kinds.
+decodes with the convex machinery, and flips the windings back.
+``_regions`` is the one place that negates, for ``decode_part``
+(simplification, one part at a time) and ``decode_parts`` (decoding and
+the encode's self-check, all parts at once) alike.  The cutting planes
+are stored already oriented so the part's own vertices sit in their
+closed negative half-spaces; they are used as stored for both part
+kinds.
 
 A part reads all its face polygons from one face table
 (``convex.FaceTable``): its coplanar patches, their planes from one
@@ -18,15 +20,18 @@ built once per encode, when every patch the part touches lies wholly
 inside it; otherwise, when a part border cuts a patch, it is a table of
 the part's own triangles.  A part's rim is the border of its triangles
 in the mesh's edge table (``EdgeTable.border``), the rule that also
-outlines each patch.  Decoded part surfaces are fanned by ``mesh.fan``,
-joined by ``mesh.weld``.
+outlines each patch.  All the parts of a code decode in one
+``convex.decode_regions`` call (``decode_parts``), for the self-check of
+an encode and for a decode alike; their kept rings are fanned by one
+``mesh.fan`` call and joined by one ``mesh.weld``.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from .convex import FaceTable, PlaneSet, decode_convex, face_table
+from .convex import FaceTable, PlaneSet, decode_convex, decode_regions, face_table
 from .errors import (
     BoundaryNotCuttable,
     EmptyRegion,
@@ -322,18 +327,48 @@ def encode_segmented(mesh, eps=None):
     Every part code is decoded once before it is kept, so a part its
     own decoder would reject (too few planes, coplanar normals, no
     interior) raises PartUndecodable naming the part instead of
-    producing a code that cannot be read back.
+    producing a code that cannot be read back.  The parts are built in
+    order and their codes decoded together (``decode_parts``).  The
+    error is the one a part-by-part loop would raise: when building
+    part j fails, the first of parts 0 to j - 1 that does not decode,
+    else part j's own GeometryError.
     """
     parts = segment_mesh(mesh, eps=eps)
-    coded = []
-    for i, part in enumerate(parts):
-        faces = polygonize_part(mesh, part, eps=eps)
-        face_planes = PlaneSet([f.plane for f in faces]).sorted_canonical()
-        boundary = boundary_planes_for_part(mesh, part, eps=eps)
-        code = PartCode(part.kind, face_planes, boundary)
-        decode_part(code, i, eps=eps)
-        coded.append(code)
+    coded, failure = [], None
+    for part in parts:
+        try:
+            faces = polygonize_part(mesh, part, eps=eps)
+            face_planes = PlaneSet([f.plane for f in faces]).sorted_canonical()
+            boundary = boundary_planes_for_part(mesh, part, eps=eps)
+        except GeometryError as exc:
+            failure = exc
+            break
+        coded.append(PartCode(part.kind, face_planes, boundary))
+    decode_parts(coded, eps=eps)
+    if failure is not None:
+        raise failure
     return SegmentedCode(coded)
+
+
+def _regions(parts):
+    """Each part's planes as one convex region: its face planes, then its cuts.
+
+    A pseudo-concave part's face planes are negated, all parts' in one
+    ``negated`` call; a row's negation does not depend on its
+    neighbours, so each part gets the rows it would get alone.
+    """
+    faces = [part.face_planes for part in parts]
+    flip = [i for i, part in enumerate(parts) if part.kind is PartKind.PSEUDO_CONCAVE]
+    if flip:
+        negated = PlaneSet.concatenate([faces[i] for i in flip]).negated()
+        ends = list(itertools.accumulate(len(faces[i]) for i in flip))
+        for i, a, b in zip(flip, [0, *ends], ends):
+            faces[i] = negated[a:b]
+    return [PlaneSet.concatenate([f, part.boundary_planes]) for f, part in zip(faces, parts)]
+
+
+def _undecodable(exc, index):
+    return PartUndecodable("part %d undecodable: %s" % (index, exc), part_index=index)
 
 
 def decode_part(part, index, eps=None):
@@ -344,49 +379,62 @@ def decode_part(part, index, eps=None):
     ``part.boundary_planes``.  Any GeometryError becomes a
     PartUndecodable naming ``index``.
     """
-    faces = part.face_planes
-    if part.kind is PartKind.PSEUDO_CONCAVE:
-        faces = faces.negated()
     try:
-        return decode_convex(PlaneSet.concatenate([faces, part.boundary_planes]), eps=eps)
+        return decode_convex(_regions([part])[0], eps=eps)
     except GeometryError as exc:
-        raise PartUndecodable(
-            "part %d undecodable: %s" % (index, exc), part_index=index
-        )
+        raise _undecodable(exc, index)
+
+
+def decode_parts(parts, eps=None):
+    """``decode_part`` of every part, in one ``decode_regions`` call.
+
+    Returns each part's ConvexPolyhedron, in order; the first part that
+    does not decode raises its PartUndecodable.
+    """
+    polys = decode_regions(_regions(parts), eps=eps)
+    for i, poly in enumerate(polys):
+        if isinstance(poly, GeometryError):
+            raise _undecodable(poly, i)
+    return polys
 
 
 def decode_segmented(code, eps=None):
     """Rebuild the welded surface of a segmented code.
 
-    Convex parts decode directly; concave parts decode with negated
-    face planes and fan their rings reversed.  Faces contributed by
-    cutting planes are dropped, so open parts stay open, and a ring
-    shared by exact duplicate face planes is fanned once (``fan``).
+    All parts decode in one batch (``decode_parts``): convex parts
+    directly, concave parts with negated face planes, their rings fanned
+    reversed.  Faces contributed by cutting planes are dropped, so open
+    parts stay open, and a ring shared by exact duplicate face planes is
+    fanned once: every part's kept rings go through one ``fan`` call.
     Part surfaces are then welded on vertices within WELD_REL times
-    their bounding-box diagonal of one another (``weld``).
+    their bounding-box diagonal of one another (``weld``), in unit
+    scale, as the parts decode: the points over 2^e, e the binary
+    exponent of their largest |coordinate|, which scales every distance
+    exactly and keeps the diagonal from overflowing.
     """
     if not code.parts:
         raise EmptyRegion("segmented code has no parts")
-    soups = []
-    for i, part in enumerate(code.parts):
-        poly = decode_part(part, i, eps=eps)
+    polys = decode_parts(code.parts, eps=eps)
+    rings = []
+    base = 0
+    for part, poly in zip(code.parts, polys):
         n_face = len(part.face_planes)
-        rings = [
-            ring
+        step = -1 if part.kind is PartKind.PSEUDO_CONCAVE else 1
+        rings += [
+            [base + j for j in ring[::step]]
             for ring, plane_idx in zip(poly.faces, poly.face_planes)
             if plane_idx < n_face
         ]
-        if part.kind is PartKind.PSEUDO_CONCAVE:
-            rings = [ring[::-1] for ring in rings]
-        soups.append(poly.vertices[fan(rings)])
-    flat = np.concatenate(soups).reshape(-1, 3)
+        base += len(poly.vertices)
+    flat = np.concatenate([poly.vertices for poly in polys])[fan(rings)].reshape(-1, 3)
     if not len(flat):
         raise EmptyRegion("no faces survived decoding")
-    span = flat.max(axis=0) - flat.min(axis=0)
-    radius = WELD_REL * float(np.linalg.norm(span))
+    e = math.frexp(float(np.abs(flat).max()))[1]
+    unit = np.ldexp(flat, -e)
+    radius = WELD_REL * float(np.linalg.norm(unit.max(axis=0) - unit.min(axis=0)))
     if radius <= 0.0:
-        radius = 1e-12
-    labels, firsts = weld(flat, radius)
+        radius = math.ldexp(1e-12, -e)
+    labels, firsts = weld(unit, radius)
     tris = labels.reshape(-1, 3)
     solid = tris[
         (tris[:, 0] != tris[:, 1])

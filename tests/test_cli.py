@@ -224,18 +224,39 @@ def test_a_huge_mesh_exits_with_one_line(capsys, tmp_path, cube_mesh, scale, rc,
     assert not code_path.exists()
 
 
-def test_a_code_too_large_for_qhull_exits_with_one_line(capsys, tmp_path, cube_mesh):
-    """Qhull's precision report is cut to its first line in the EmptyRegion text."""
-    # a flat box refuses the least-squares centre, and the lifted hull
-    # of its planes loses its precision at this scale
+def test_a_qhull_report_exits_with_one_line(capsys, tmp_path):
+    """Qhull's report is cut to its first line in the EmptyRegion text."""
+    # the cube with its top face below its bottom is empty; a negative
+    # --eps lets its Chebyshev centre through, and Qhull refuses to
+    # intersect from that point with a report of ten lines
+    cube = encode_convex(shapes.cube())
+    top = cube.normals()[:, 2] == 1.0
+    code = PlaneSet.from_normals(cube.normals(), np.where(top, -1e-3, cube.offsets()))
+    code_path = tmp_path / "inverted.plnc"
+    code_path.write_bytes(write_code(code))
+    rc, out, err = run(
+        capsys, "decode", str(code_path), str(tmp_path / "o.obj"), "--eps", "-1"
+    )
+    assert (rc, out) == (3, "")
+    assert err.startswith("EmptyRegion: half-space intersection failed: QH6023 ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_a_1e15_by_1e12_box_round_trips(capsys, tmp_path, cube_mesh):
+    # a flat box at this scale refuses the least-squares centre, and the
+    # lifted hull of its planes lost its precision before the decode
+    # worked in unit scale
     scale = np.array([1e15, 1e15, 1e12])
     code = encode_convex(TriangleMesh(cube_mesh.vertices * scale, cube_mesh.triangles))
     code_path = tmp_path / "box15.plnc"
     code_path.write_bytes(write_code(code))
-    rc, out, err = run(capsys, "decode", str(code_path), str(tmp_path / "o.obj"))
-    assert (rc, out) == (3, "")
-    assert err.startswith("EmptyRegion: lifted planes have no lower hull: QH")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    out_path = tmp_path / "o.obj"
+    rc, _, err = run(capsys, "decode", str(code_path), str(out_path))
+    assert (rc, err) == (0, "")
+    back = load_mesh(out_path.read_text(), "obj")
+    assert back.is_closed
+    # float32 angles move a 1000:1 box by 7.5e-5 of its volume at any scale
+    assert back.volume() == pytest.approx(1e42, rel=1e-4)
 
 
 def test_a_cube_scaled_by_1e15_round_trips(capsys, tmp_path, cube_mesh):

@@ -2,7 +2,7 @@
 
 ``decode_convex`` used to find its interior point as the Chebyshev
 centre, read off a 4-D hull of the lifted planes (``_chebyshev_centre``).
-It now first tries the least-squares centre (``_least_squares_centre``),
+It now first tries the least-squares centre (``_least_squares_centres``),
 one 4x4 solve, and falls back to the Chebyshev centre when that point is
 refused or Qhull's intersection from it fails.  A vertex with no usable
 plane triple still takes Qhull's point from the Chebyshev centre's
@@ -33,22 +33,24 @@ from test_surround_screen_oracle import part_codes
 def chebyshev_outcome(code):
     """The decode with the least-squares centre refused: the Chebyshev path alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convex, "_least_squares_centre", lambda *args: None)
+        mp.setattr(
+            convex, "_least_squares_centres", lambda w, h, feas, bounds: [None] * len(feas)
+        )
         return outcome(decode_convex, code)
 
 
 def accepted(code):
     """Whether the least-squares centre serves ``code``'s decode."""
     taken = []
-    centre = convex._least_squares_centre
+    centres = convex._least_squares_centres
 
     def spy(*args):
-        x = centre(*args)
-        taken.append(x is not None)
+        x = centres(*args)
+        taken.extend(c is not None for c in x)
         return x
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convex, "_least_squares_centre", spy)
+        mp.setattr(convex, "_least_squares_centres", spy)
         got = outcome(decode_convex, code)
     assert got == chebyshev_outcome(code)
     return taken == [True]

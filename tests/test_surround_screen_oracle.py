@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 from scipy.spatial import (
     ConvexHull,
-    HalfspaceIntersection,
     QhullError,
     SphericalVoronoi,
     cKDTree,
@@ -67,7 +66,7 @@ def assert_screen_sound(code):
 
     Returns whether the screen cleared the code.
     """
-    cleared = convex._surrounds_origin(code.normals())
+    cleared = convex._surrounds_origin(code.normals(), [0, len(code)])[0]
     if cleared:
         oracle_surround_check(code.normals())
     assert outcome(decode_convex, code) == outcome(oracle_decode_convex, code)
@@ -229,7 +228,8 @@ def test_a_refused_centre_builds_only_the_lifted_hull(monkeypatch):
     dims = counting_hulls(monkeypatch)
     for thickness, empty in ((1e-3, False), (1e-10, True), (-1e-12, True)):
         code = PlaneSet.from_normals(cube.normals(), np.where(top, thickness, cube.offsets()))
-        assert convex._least_squares_centre(code.normals(), code.offsets(), 1e-9) is None
+        centres = convex._least_squares_centres(code.normals(), code.offsets(), [1e-9], [0, 6])
+        assert centres == [None]
         dims.clear()
         got = outcome(decode_convex, code)
         assert dims == [4]
@@ -240,21 +240,40 @@ def test_a_refused_centre_builds_only_the_lifted_hull(monkeypatch):
 
 
 def test_a_failed_intersection_from_the_centre_falls_back(monkeypatch):
-    # at 1e90 the least-squares centre is accepted, but Qhull cannot
-    # intersect from it; the Chebyshev path then fails as it always did
-    cube = encode_convex(shapes.cube())
-    code = PlaneSet.from_normals(cube.normals(), cube.offsets() * 1e90)
-    feas = convex.FEAS_REL * 1e90
-    centre = convex._least_squares_centre(code.normals(), code.offsets(), feas)
-    assert centre is not None
-    with pytest.raises(QhullError):
-        HalfspaceIntersection(np.column_stack([code.normals(), -code.offsets()]), centre)
+    # Qhull fails from the accepted least-squares centre: the decode then
+    # builds the lifted hull of the Chebyshev centre and intersects again
+    code = shapes.chamfered_cube_code(0.2)
+    intersect = convex.HalfspaceIntersection
+    tried = []
+
+    def fails_first(halfspaces, interior, *args, **kwargs):
+        tried.append(interior)
+        if len(tried) == 1:
+            raise QhullError("QH6023 qhull input error: as if from a failing centre\nmore")
+        return intersect(halfspaces, interior, *args, **kwargs)
+
+    monkeypatch.setattr(convex, "HalfspaceIntersection", fails_first)
     dims = counting_hulls(monkeypatch)
     got = outcome(decode_convex, code)
-    assert dims == [4]
+    assert len(tried) == 2 and dims == [4]
     assert got == outcome(oracle_decode_convex, code)
-    assert got[0] is EmptyRegion
-    assert got[1].startswith("lifted planes have no lower hull: QH6154")
+
+
+def test_a_cube_at_1e90_decodes_in_unit_scale(monkeypatch):
+    # at 1e90 Qhull could not intersect from the least-squares centre, and
+    # the lifted hull failed too; in unit scale the centre serves, and a
+    # power-of-two scale gives the unit cube's vertices times that power
+    cube = encode_convex(shapes.cube())
+    unit = decode_convex(cube)
+    dims = counting_hulls(monkeypatch)
+    for factor in (1e90, 2.0**300):
+        code = PlaneSet.from_normals(cube.normals(), cube.offsets() * factor)
+        poly = decode_convex(code)
+        assert dims == []
+        assert poly.faces == unit.faces and poly.redundant_planes == unit.redundant_planes
+        assert poly.to_mesh().is_closed
+        assert np.allclose(poly.vertices / factor, unit.vertices, rtol=0.0, atol=1e-15)
+    assert poly.vertices.tobytes() == (unit.vertices * 2.0**300).tobytes()
 
 
 def test_normals_in_a_hemisphere_still_build_the_normal_hull(monkeypatch):
