@@ -103,7 +103,8 @@ def _parse_planes(records, labels):
     pairs.  A row out of range raises AngleOutOfRange naming its set
     and its place in that set.
     """
-    rows = np.frombuffer(records, dtype="<f4").astype(np.float64).reshape(-1, 3)
+    with np.errstate(invalid="ignore"):  # a signalling NaN fails the range check quietly
+        rows = np.frombuffer(records, dtype="<f4").astype(np.float64).reshape(-1, 3)
     try:
         return PlaneSet(rows)
     except ValueError as exc:

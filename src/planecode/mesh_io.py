@@ -60,6 +60,8 @@ def load_mesh(data, fmt):
 
 
 def _sniff_stl(data):
+    if isinstance(data, str):
+        return "stl-ascii"
     if len(data) >= 84:
         (count,) = struct.unpack_from("<I", data, 80)
         if len(data) == 84 + 50 * count:
@@ -231,7 +233,8 @@ def _parse_stl_binary(data):
         )
     raw = np.frombuffer(data, dtype=np.uint8, count=50 * count, offset=84)
     floats = raw.reshape(count, 50)[:, :48].reshape(-1).view(np.float32)
-    tri_points = floats.astype(float).reshape(count, 4, 3)[:, 1:, :]
+    with np.errstate(invalid="ignore"):  # a signalling NaN fails the finite check quietly
+        tri_points = floats.astype(float).reshape(count, 4, 3)[:, 1:, :]
     bad = np.flatnonzero(~np.isfinite(tri_points).all(axis=(1, 2)))
     if len(bad):
         raise ParseError("facet %d has a non-finite vertex coordinate" % bad[0])

@@ -5,12 +5,12 @@ planes, and extra "cutting" planes that close the part's open boundary
 so the convex decoder can rebuild it.  Decoding a pseudo-concave part
 negates its face planes (the two part kinds are dual under negation),
 decodes with the convex machinery, and flips the windings back.
-``_regions`` is the one place that negates, for ``decode_part``
-(simplification, one part at a time) and ``decode_parts`` (decoding and
-the encode's self-check, all parts at once) alike.  The cutting planes
-are stored already oriented so the part's own vertices sit in their
-closed negative half-spaces; they are used as stored for both part
-kinds.
+``_region`` is the one place that negates, part by part, for
+``decode_part`` (simplification, one part at a time) and
+``decode_parts`` (decoding and the encode's self-check, all parts at
+once) alike.  The cutting planes are stored already oriented so the
+part's own vertices sit in their closed negative half-spaces; they are
+used as stored for both part kinds.
 
 A part reads all its face polygons from one face table
 (``convex.FaceTable``): its coplanar patches, their planes from one
@@ -26,7 +26,6 @@ an encode and for a decode alike; their kept rings are fanned by one
 ``mesh.fan`` call and joined by one ``mesh.weld``.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -350,21 +349,15 @@ def encode_segmented(mesh, eps=None):
     return SegmentedCode(coded)
 
 
-def _regions(parts):
-    """Each part's planes as one convex region: its face planes, then its cuts.
+def _region(part):
+    """A part's planes as one convex region: its face planes, then its cuts.
 
-    A pseudo-concave part's face planes are negated, all parts' in one
-    ``negated`` call; a row's negation does not depend on its
-    neighbours, so each part gets the rows it would get alone.
+    A pseudo-concave part's face planes are negated.
     """
-    faces = [part.face_planes for part in parts]
-    flip = [i for i, part in enumerate(parts) if part.kind is PartKind.PSEUDO_CONCAVE]
-    if flip:
-        negated = PlaneSet.concatenate([faces[i] for i in flip]).negated()
-        ends = list(itertools.accumulate(len(faces[i]) for i in flip))
-        for i, a, b in zip(flip, [0, *ends], ends):
-            faces[i] = negated[a:b]
-    return [PlaneSet.concatenate([f, part.boundary_planes]) for f, part in zip(faces, parts)]
+    faces = part.face_planes
+    if part.kind is PartKind.PSEUDO_CONCAVE:
+        faces = faces.negated()
+    return PlaneSet.concatenate([faces, part.boundary_planes])
 
 
 def _undecodable(exc, index):
@@ -380,7 +373,7 @@ def decode_part(part, index, eps=None):
     PartUndecodable naming ``index``.
     """
     try:
-        return decode_convex(_regions([part])[0], eps=eps)
+        return decode_convex(_region(part), eps=eps)
     except GeometryError as exc:
         raise _undecodable(exc, index)
 
@@ -391,7 +384,7 @@ def decode_parts(parts, eps=None):
     Returns each part's ConvexPolyhedron, in order; the first part that
     does not decode raises its PartUndecodable.
     """
-    polys = decode_regions(_regions(parts), eps=eps)
+    polys = decode_regions([_region(part) for part in parts], eps=eps)
     for i, poly in enumerate(polys):
         if isinstance(poly, GeometryError):
             raise _undecodable(poly, i)

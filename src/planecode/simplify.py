@@ -13,11 +13,10 @@ long chains of slightly-tilted planes from collapsing into one.
 
 Each decoded solid is measured in one pass over its face rings.  Every
 ring is fanned from its first vertex; the rings of 3 to SHORT_RING
-vertices go through one padded batch, or a few when padding them all to
-the longest would cost more than another batch, and only longer rings
-are batched by length, so the areas and centroids round as a ring
-measured alone would.  Two face planes are adjacent when their rings
-share an edge, read off one sort of the rings' edge keys.
+vertices go through one padded batch, and only longer rings are batched
+by length, so the areas and centroids round as a ring measured alone
+would.  Two face planes are adjacent when their rings share an edge,
+read off one sort of the rings' edge keys.
 
 Each distinct plane set is decoded once, always with the caller's
 ``eps``: the decode of the input serves the area pass, and the merge
@@ -38,8 +37,7 @@ from .polygonize import PartCode, SegmentedCode, decode_part
 HALF_PI = np.pi / 2.0
 SCREEN_MARGIN = 1e-9  # radians: screened angles this close to tau are recomputed
 SCREEN_RANGE = (1e-150, 1e150)  # sum norms that square without under- or overflow
-SHORT_RING = 9  # longest ring of a padded batch: numpy sums its 7 fan terms in order
-PAD_SLOTS = 512  # padded vertex slots a batch may carry, about the cost of one more batch
+SHORT_RING = 9  # longest ring of the padded batch: numpy sums its 7 fan terms in order
 
 
 class SimplifyParams:
@@ -60,12 +58,12 @@ def _face_measurements(poly, n_planes):
     Each ring is fanned from its first vertex, and its area is the sum
     of its fan triangles' areas, its centroid their area-weighted
     centres over that sum.  Rings of 3 to SHORT_RING vertices are
-    measured in one or a few batches (``_padded_batches``), each ring
-    padded with its first vertex to the longest ring of its batch: a
-    padded slot is a zero-area triangle whose weighted centre is set to
-    -0.0, and numpy sums the at most 7 terms of a row in order, so every
-    sum rounds as the ring's own would.  Longer rings, whose sums numpy
-    adds pairwise, are batched one length at a time.
+    measured in one batch, each padded with its first vertex to the
+    longest of them: a padded slot is a zero-area triangle whose
+    weighted centre is set to -0.0, and numpy sums the at most 7 terms
+    of a row in order, so every sum rounds as the ring's own would.
+    Longer rings, whose sums numpy adds pairwise, are batched one length
+    at a time.
     The cross products come from ``cross``, which rounds as ``np.cross``
     does.  A ring with no area (fewer than three vertices, or collinear)
     gets area zero and the mean of its vertices.
@@ -80,10 +78,9 @@ def _face_measurements(poly, n_planes):
     batches = []
     rows = np.flatnonzero((sizes >= 3) & (sizes <= SHORT_RING))
     if len(rows):
-        for part, width in _padded_batches(rows, sizes[rows]):
-            cols = np.arange(width)
-            real = cols < sizes[part, None]  # slots past a ring's end take its first vertex
-            batches.append((part, flat[starts[part, None] + cols * real], ~real[:, 2:]))
+        cols = np.arange(sizes[rows].max())
+        real = cols < sizes[rows, None]  # slots past a ring's end take its first vertex
+        batches.append((rows, flat[starts[rows, None] + cols * real], ~real[:, 2:]))
     for k in sorted(set(sizes[sizes > SHORT_RING].tolist())):
         rows = np.flatnonzero(sizes == k)
         batches.append((rows, flat[starts[rows, None] + np.arange(k)], None))
@@ -106,35 +103,6 @@ def _face_measurements(poly, n_planes):
     for r in no_area:
         centroids[owner[r]] = poly.vertices[faces[r]].mean(axis=0)
     return areas, centroids
-
-
-def _padded_batches(rows, lengths):
-    """Split ``rows``, rings of ``lengths`` 3 to SHORT_RING, into padded batches.
-
-    Returns (rows, width) pairs, each batch padded to its longest ring.
-    A padded slot costs about as much as a real one, and a batch's own
-    set-up about as much as PAD_SLOTS slots.  So the rings stay in one
-    batch while its padded slots number at most PAD_SLOTS, as on every
-    small solid.  Otherwise they go by length, shortest first, and a
-    batch takes the next length only while its padded slots stay within
-    PAD_SLOTS.  The rule reads the ring lengths alone.
-    """
-    width = int(lengths.max())
-    if len(rows) * width - int(lengths.sum()) <= PAD_SLOTS:
-        return [(rows, width)]
-    bounds = []  # the longest length of each closed batch
-    pad = count = longest = 0  # padded slots, rings and longest length of the open batch
-    for k, c in enumerate(np.bincount(lengths).tolist()):
-        if not c:
-            continue
-        grown = pad + count * (k - longest)
-        if count and grown > PAD_SLOTS:
-            bounds.append(longest)
-            grown = count = 0
-        pad, count, longest = grown, count + c, k
-    bounds.append(longest)
-    batch = np.searchsorted(bounds, lengths)
-    return [(rows[batch == b], longest) for b, longest in enumerate(bounds)]
 
 
 def _face_adjacency(poly):

@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from planecode import shapes
+
+# a float32 signalling NaN: numpy's cast to float64 flags it as invalid
+SNAN = struct.pack("<I", 0x7F800001)
 
 
 @pytest.fixture

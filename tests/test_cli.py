@@ -17,8 +17,11 @@ from planecode import (
     shapes,
     write_code,
     write_obj,
+    write_stl_binary,
 )
 from planecode.cli import main
+
+from conftest import SNAN
 
 
 def run(capsys, *argv):
@@ -105,6 +108,19 @@ def test_segment_prints_the_part_table(capsys, staircase_obj):
     assert "total: 2 parts, 22 planes" in lines
 
 
+def test_segment_degrees_prints_each_parts_face_planes(capsys, staircase_obj):
+    rc, out, _ = run(capsys, "segment", staircase_obj, "--degrees")
+    assert rc == 0
+    lines = out.splitlines()
+    head = ["nu", "(deg)", "phi", "(deg)", "h"]
+    assert [i for i, line in enumerate(lines) if line.split() == head] == [1, 12]
+    assert lines[0].startswith("part 0: ") and lines[11].startswith("part 1: ")
+    rows = lines[2:11] + lines[13:18]
+    assert len(rows) == 9 + 5
+    assert all(len(row.split()) == 3 for row in rows)
+    assert lines[18:] == ["total: 2 parts, 22 planes"]
+
+
 def test_simplify_merges_prism_sides(capsys, tmp_path):
     code_path = tmp_path / "prism.plnc"
     out_path = tmp_path / "merged.plnc"
@@ -113,6 +129,14 @@ def test_simplify_merges_prism_sides(capsys, tmp_path):
     assert rc == 0
     assert "planes: 34 -> 18" in out
     assert len(read_code(out_path.read_bytes())) == 18
+
+
+def test_a_negative_delta_exits_2_with_one_line(capsys, tmp_path, cube_obj):
+    c1 = tmp_path / "c.plnc"
+    run(capsys, "encode", cube_obj, str(c1))
+    got = run(capsys, "simplify", str(c1), str(tmp_path / "o.plnc"), "--delta", "-1")
+    assert got == (2, "", "ValueError: delta must be >= 0, got -1.0\n")
+    assert not (tmp_path / "o.plnc").exists()
 
 
 def test_simplify_without_options_copies_the_code(capsys, tmp_path, cube_obj):
@@ -277,6 +301,36 @@ def test_junk_code_exits_4(capsys, tmp_path, cube_obj):
     rc, _, err = run(capsys, "decode", cube_obj, str(tmp_path / "o.obj"))
     assert rc == 4
     assert "BadMagic" in err
+
+
+def run_quietly(capsys, *argv):
+    """``run``, asserting that no warning was emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    return got
+
+
+def test_a_signalling_nan_record_exits_4_with_one_line(capsys, tmp_path, cube_mesh):
+    data = bytearray(write_code(encode_convex(cube_mesh)))
+    data[10 + 12 * 2 + 8: 10 + 12 * 2 + 12] = SNAN  # record 2's offset
+    code_path = tmp_path / "snan.plnc"
+    code_path.write_bytes(bytes(data))
+    rc, out, err = run_quietly(capsys, "decode", str(code_path), str(tmp_path / "o.obj"))
+    assert (rc, out) == (4, "")
+    assert err.startswith("AngleOutOfRange: plane record 2 holds (") and err.endswith("h=nan)\n")
+    assert err.count("\n") == 1
+
+
+def test_a_signalling_nan_corner_exits_2_with_one_line(capsys, tmp_path, cube_mesh):
+    data = bytearray(write_stl_binary(cube_mesh))
+    data[84 + 50 * 4 + 12 + 4 * 5: 84 + 50 * 4 + 12 + 4 * 6] = SNAN  # facet 4, second corner
+    mesh_path = tmp_path / "snan.stl"
+    mesh_path.write_bytes(bytes(data))
+    got = run_quietly(capsys, "encode", str(mesh_path), str(tmp_path / "o.plnc"))
+    assert got == (2, "", "ParseError: facet 4 has a non-finite vertex coordinate\n")
+    assert not (tmp_path / "o.plnc").exists()
 
 
 def test_the_parser_is_built_once_per_process():

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from planecode import (
     write_code,
 )
 
-from conftest import seeded_hulls
+from conftest import SNAN, seeded_hulls
 
 # write_code(encode_convex(cube).sorted_canonical()), frozen byte for byte
 CUBE_PLNC = bytes.fromhex(
@@ -224,6 +225,22 @@ BAD_BLOBS = [
 def test_hostile_bytes_raise_structured_errors(blob, err, match):
     with pytest.raises(err, match=match):
         read_code(blob)
+
+
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("segmented", [False, True], ids=["convex", "segmented"])
+def test_a_signalling_nan_record_is_refused_without_a_warning(segmented, field):
+    record = bytearray(rec(1.0, 0.0, 1.0))
+    record[4 * field: 4 * field + 4] = SNAN
+    if segmented:
+        blob = SEGMENTED_HEADER + struct.pack("<I", 1) + struct.pack("<BII", 0, 1, 0) + record
+    else:
+        blob = CONVEX_HEADER + struct.pack("<I", 1) + record
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(AngleOutOfRange, match="record 0 holds"):
+            read_code(blob)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_every_proper_prefix_of_a_valid_file_is_rejected():

@@ -14,7 +14,7 @@ header in part 1, and any bad record wins over trailing bytes.
 import struct
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planecode import (
     AngleOutOfRange,
@@ -151,7 +151,10 @@ def outcome(read, data):
 
 def assert_same_read(data):
     got = outcome(read_code, data)
-    assert got == outcome(oracle_read_code, data)
+    # the oracle casts a float32 signalling NaN with numpy's cast warning
+    # on, as the reader once did; only its outcome is compared
+    with np.errstate(invalid="ignore"):
+        assert got == outcome(oracle_read_code, data)
     return got
 
 
@@ -225,6 +228,8 @@ def test_fixture_codes_read_the_same_with_the_same_normals():
 
 
 @settings(deadline=None, max_examples=300)
+# makes a boundary record's offset a float32 signalling NaN (0x7f897459)
+@example(which=0, edits=[(255, 127, "s")])
 @given(
     which=st.integers(0, len(FIXTURES) - 1),
     edits=st.lists(

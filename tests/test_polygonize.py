@@ -15,6 +15,7 @@ from planecode import (
     WeldMismatch,
     boundary_planes_for_part,
     decode_segmented,
+    encode_convex,
     encode_segmented,
     polygonize_part,
     segment_mesh,
@@ -182,6 +183,13 @@ def test_decode_rebuilds_closed_solids(name):
 def test_decoding_an_empty_code_is_an_error():
     with pytest.raises(EmptyRegion):
         decode_segmented(SegmentedCode([]))
+
+
+def test_a_part_whose_only_face_plane_is_redundant_leaves_no_faces(cube_mesh):
+    # the plane z = 10 lies outside the cube its cutting planes bound
+    part = PartCode(PartKind.PSEUDO_CONVEX, PlaneSet([(0.0, 0.0, 10.0)]), encode_convex(cube_mesh))
+    with pytest.raises(EmptyRegion, match="^no faces survived decoding$"):
+        decode_segmented(SegmentedCode([part]))
 
 
 def test_underdetermined_part_reports_its_index(cube_mesh):

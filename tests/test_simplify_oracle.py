@@ -315,26 +315,15 @@ def test_batched_ring_measures_equal_the_per_ring_loop_bit_for_bit():
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
-def test_rings_split_into_padded_batches_measure_bit_for_bit():
+def test_float32_hulls_and_random_length_rings_measure_bit_for_bit():
     # float32 storage splits a large hull's vertices, so its rings run
-    # from 3 to 14 vertices; padding them all to 9 would waste a third
-    # of the batch, and they go in several batches instead
-    splits = []
+    # from 3 to 14 vertices: the short ones share one padded batch and
+    # the longer ones go by length
     for n_points in (200, 1000, 2500):
         code = read_code(write_code(encode_convex(sphere_hull(n_points, n_points))))
-        poly = decode_convex(code)
-        sizes = np.array([len(ring) for ring in poly.faces])
-        rows = np.flatnonzero((sizes >= 3) & (sizes <= planecode.simplify.SHORT_RING))
-        batches = planecode.simplify._padded_batches(rows, sizes[rows])
-        assert np.array_equal(np.sort(np.concatenate([b for b, _ in batches])), rows)
-        for part, width in batches:
-            assert width == sizes[part].max()
-            assert len(batches) == 1 or len(part) * width - sizes[part].sum() <= 512
-        splits.append(len(batches))
-        assert_matches_the_oracle(poly, len(code))
-    assert splits[0] < splits[-1] and splits[-1] > 2
+        assert_matches_the_oracle(decode_convex(code), len(code))
     # hand-built rings of random lengths: many triangles and a few
-    # longer rings, so some batches close early and some lengths skip
+    # longer rings, so some lengths skip
     rng = np.random.default_rng(61)
     for _ in range(30):
         verts = rng.normal(size=(200, 3))

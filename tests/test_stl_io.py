@@ -2,6 +2,7 @@
 packer it replaced, and non-finite coordinates in every reader."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from planecode import shapes
 from planecode.cli import main
 from planecode.mesh import TriangleMesh
 from planecode.mesh_io import _facet_normals, write_stl_ascii
+
+from conftest import SNAN
 
 _STL_RECORD = struct.Struct("<12fH")
 
@@ -98,3 +101,43 @@ def test_cli_rejects_non_finite_coordinates_with_exit_2(capsys, tmp_path, name, 
     assert rc == 2
     assert err.startswith("ParseError")
     assert "non-finite" in err
+
+
+def test_a_signalling_nan_corner_is_a_parse_error_without_a_warning():
+    data = bytearray(write_stl_binary(shapes.cube()))
+    data[84 + 50 * 4 + 4 * 7: 84 + 50 * 4 + 4 * 8] = SNAN  # facet 4, second corner y
+    payload = bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for fmt in ("stl", "stl-binary"):
+            with pytest.raises(ParseError, match="facet 4 has a non-finite"):
+                load_mesh(payload, fmt)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_stl_text_passed_as_str_is_sniffed_as_ascii():
+    text = write_stl_ascii(shapes.cube())
+    got = load_mesh(text, "stl")
+    want = load_mesh(text, "stl-ascii")
+    assert got.vertices.tolist() == want.vertices.tolist()
+    assert got.triangles.tolist() == want.triangles.tolist()
+    with pytest.raises(ParseError, match="line 6: non-finite"):
+        load_mesh(STL_INF, "stl")
+
+
+def test_bytes_shorter_than_the_binary_header_are_a_parse_error():
+    with pytest.raises(ParseError, match="binary STL shorter than its 84-byte header"):
+        load_mesh(b"abc", "stl")
+
+
+def test_ascii_stl_skips_blank_lines_and_refuses_a_short_vertex():
+    text = write_stl_ascii(shapes.cube())
+    spaced = "\n\n".join(text.splitlines()) + "\n"
+    got, want = load_mesh(spaced, "stl-ascii"), load_mesh(text, "stl-ascii")
+    assert got.vertices.tolist() == want.vertices.tolist()
+    assert got.triangles.tolist() == want.triangles.tolist()
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == "vertex")
+    lines[at] = "vertex 0 1"
+    with pytest.raises(ParseError, match="line %d: vertex needs 3 coordinates" % (at + 1)):
+        load_mesh("\n".join(lines), "stl-ascii")
