@@ -7,6 +7,7 @@ patch its outline (``group_borders``) and each segmented part its rim
 """
 
 import functools
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -102,9 +103,15 @@ class TriangleMesh:
     def slack(self, eps=None):
         """``eps`` when given, else SLACK_REL times the bounding-box diagonal.
 
-        Every encode-side point-to-plane test takes its default slack here.
+        Every encode-side point-to-plane test takes its slack here, so a
+        given ``eps`` that is NaN, infinite or negative raises ValueError
+        for all of them.
         """
-        return SLACK_REL * self._diagonal if eps is None else eps
+        if eps is None:
+            return SLACK_REL * self._diagonal
+        if not 0 <= eps < math.inf:
+            raise ValueError("eps must be finite and >= 0, got %r" % (eps,))
+        return eps
 
     def triangle_corners(self):
         """The three corner arrays (T, 3) of every triangle."""

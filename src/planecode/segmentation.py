@@ -8,16 +8,15 @@ every pair negative.  Growth is greedy and deterministic: lowest-index
 seeds, candidates explored in index order, admission checked against
 all current members.
 
-The check against all members costs O(1) per candidate: a growing part
-keeps, for every vertex, the largest signed distance to the members'
-planes, and for every triangle, the largest signed distance of the
-members' vertices to its plane (signs flipped for pseudo-concave
-parts).  A candidate reads the first at its three corners and the
-second at itself.  Each new member folds its plane into the first with
-one O(V) numpy update, and each of its vertices not yet in the part
-into the second with one O(T) update; a vertex shared by many members,
-like a plane shared by the triangles of one face, is folded once.  No
-pairwise table is kept.
+The check against all members costs a few integer operations per
+candidate.  Per part kind, every vertex of a still unassigned triangle
+gets one Python int, bit p set when the vertex lies more than ``eps``
+outside distinct plane p of those triangles (signs flipped for
+pseudo-concave parts), built in blocks of vertices from one batched
+matrix-vector product each.  A growing part keeps the bits of its
+members' planes and the OR of its members' corners' ints; a candidate
+is tested by two ANDs.  The bits take V x P / 8 bytes per kind, P the
+number of distinct planes, which rounding can bring up to T.
 """
 
 import enum
@@ -27,7 +26,11 @@ import numpy as np
 
 from .errors import InconsistentOrientation, NonManifold
 from .geometry import triangle_planes
-from .mesh import adjacency
+
+# entries of one block of vertex-to-plane distances in _outside_bits; the
+# whole table of two_notch_box cut 24 x 24 (12674 vertices, 12763 distinct
+# planes) would take 1.3 GB
+_OUTSIDE_BLOCK = 1 << 17
 
 
 class MutualOrientation(enum.Enum):
@@ -90,22 +93,18 @@ def segment_mesh(mesh, eps=None):
     unassigned neighbors of the members, popped lowest index first, and
     one refusal bars a triangle from the whole part.
 
-    A growing part keeps two running maxima over its members m, with
-    sigma = +1 for pseudo-convex and -1 for pseudo-concave: for every
-    vertex v, ``out_v[v]``, the largest sigma-signed distance of v to a
-    member's plane, and for every triangle t, ``out_m[t]``, the largest
-    sigma-signed distance of a member's vertex to the plane of t.  A
-    candidate is admitted when ``out_v`` at its three corners and
-    ``out_m`` at itself are all at most ``eps``, which is the pairwise
-    test against every member.  Each admission folds the new member's
-    plane into ``out_v`` with one product over the V vertices, and each
-    of its vertices into ``out_m`` with one product over the T planes,
-    but only the first time that plane or vertex joins the part: a
-    vertex shared by several members (up to six in a grid), or a plane
-    row bitwise equal to an earlier member's (the triangles of one cut
-    face), adds the same distances every time, so it is folded once.
-    The result is a partition: every triangle index appears in exactly
-    one part.
+    With sigma = +1 for pseudo-convex and -1 for pseudo-concave, each
+    kind works on the triangles still unassigned when its first seed is
+    found (``_kind_bits``): it labels their distinct plane rows, ``bit[t]``,
+    and gives each of their corners v an int ``over[v]`` whose bit p is
+    set when v lies more than ``eps`` outside plane p, sigma-signed.  A
+    growing part keeps ``planes``, the bits of its members' labels, and
+    ``outside``, the OR of ``over`` at its members' corners.  Candidate
+    t with corners a, b, c is admitted when no member plane has a, b or
+    c outside it, ``(over[a] | over[b] | over[c]) & planes == 0``, and no
+    member corner is outside the plane of t, bit ``bit[t]`` of ``outside``
+    clear: the pairwise test against every member.  The result is a
+    partition: every triangle index appears in exactly one part.
     """
     if not mesh.is_edge_manifold:
         raise NonManifold("an edge is shared by more than two triangles")
@@ -117,58 +116,44 @@ def segment_mesh(mesh, eps=None):
     eps = mesh.slack(eps)
 
     nt = len(mesh.triangles)
-    vertices = mesh.vertices
-    corners = vertices[mesh.triangles]
     tris = mesh.triangles.tolist()
     neighbors = mesh.neighbors
-    seeds = _strict_neighbors(corners, normals, offs, *mesh.edges.pairs(), eps)
-    plane_id = _plane_ids(normals, offs)
+    seeds = _strict_neighbors(mesh.vertices[mesh.triangles], normals, offs, *mesh.edges.pairs(), eps)
 
-    assigned = np.zeros(nt, dtype=bool)
+    assigned = [False] * nt
     parts = []
     for sigma, kind in ((1.0, PartKind.PSEUDO_CONVEX), (-1.0, PartKind.PSEUDO_CONCAVE)):
-        # negation is exact, so sigma * (x . n - h) == x . (sigma n) - sigma h
-        s_normals, s_offs = sigma * normals, sigma * offs
-        strict = seeds[kind]
-        # assignment only grows, so a triangle that fails the seed test
-        # fails it for the rest of the side: the scan resumes, not restarts
+        firsts, seconds = seeds[kind]
+        over = None
+        # assignment only grows, so a pair with an assigned triangle stays
+        # useless for the rest of the kind: the scan resumes, not restarts
         k = 0
         while True:
-            while k < len(strict) and (
-                assigned[strict[k][0]] or all(assigned[nb] for nb in strict[k][1])
-            ):
+            while k < len(firsts) and (assigned[firsts[k]] or assigned[seconds[k]]):
                 k += 1
-            if k == len(strict):
+            if k == len(firsts):
                 break
-            seed = strict[k][0]
-            out_v = np.full(len(vertices), -np.inf)
-            out_m = np.full(nt, -np.inf)
-            folded = set()
-            folded_planes = set()
+            if over is None:
+                live = np.flatnonzero(~np.array(assigned, dtype=bool))
+                over, bit = _kind_bits(mesh, live, sigma, eps)
+            planes = outside = 0
             members = []
             rejected = set()
-            heap = [seed]
+            heap = [firsts[k]]
             while heap:
                 t = heapq.heappop(heap)
                 if assigned[t] or t in rejected:
                     continue
                 a, b, c = tris[t]
-                if not (
-                    out_v[a] <= eps and out_v[b] <= eps and out_v[c] <= eps
-                    and out_m[t] <= eps
-                ):
+                corners = over[a] | over[b] | over[c]
+                if corners & planes or outside >> bit[t] & 1:
                     # one refusal bars this triangle from the whole part
                     rejected.add(t)
                     continue
                 assigned[t] = True
                 members.append(t)
-                if plane_id[t] not in folded_planes:
-                    folded_planes.add(plane_id[t])
-                    np.maximum(out_v, vertices @ s_normals[t] - s_offs[t], out=out_v)
-                for v in (a, b, c):
-                    if v not in folded:
-                        folded.add(v)
-                        np.maximum(out_m, s_normals @ vertices[v] - s_offs, out=out_m)
+                planes |= 1 << bit[t]
+                outside |= corners
                 for nb in neighbors[t]:
                     if not assigned[nb] and nb not in rejected:
                         heapq.heappush(heap, nb)
@@ -181,20 +166,21 @@ def segment_mesh(mesh, eps=None):
 
 
 def _strict_neighbors(corners, normals, offs, i, j, eps):
-    """Per kind, the triangles in a neighbor pair strictly of it, with those neighbors.
+    """Per kind, the neighbor pairs strictly of it, as (firsts, seconds) lists.
 
     All neighbor pairs (i, j) go through ``_sides`` in one batch.
     Coplanar pairs are both below and above, so they count for neither
-    kind.  Each kind gets a list of (triangle, neighbors) in triangle
-    order, neighbors as ``adjacency`` orders them, which is all the seed
-    scan reads.
+    kind.  Each kind's pairs are listed both ways, (i, j) then (j, i),
+    and stable-sorted by their first triangle, which is the order the
+    seed scan reads them in.
     """
     below, above = _sides(corners[i], corners[j], normals[i], offs[i], normals[j], offs[j], eps)
-    strict = {PartKind.PSEUDO_CONVEX: below & ~above, PartKind.PSEUDO_CONCAVE: above & ~below}
-    return {
-        kind: [(t, nb) for t, nb in enumerate(adjacency(len(corners), i[s], j[s])) if nb]
-        for kind, s in strict.items()
-    }
+    out = {}
+    for kind, s in ((PartKind.PSEUDO_CONVEX, below & ~above), (PartKind.PSEUDO_CONCAVE, above & ~below)):
+        x = np.concatenate([i[s], j[s]])
+        order = np.argsort(x, kind="stable")
+        out[kind] = (x[order].tolist(), np.concatenate([j[s], i[s]])[order].tolist())
+    return out
 
 
 def _sides(ci, cj, ni, hi, nj, hj, eps):
@@ -216,9 +202,8 @@ def _sides(ci, cj, ni, hi, nj, hj, eps):
 def _plane_ids(normals, offs):
     """Label each (normal, offset) row, equal labels for bitwise equal rows.
 
-    Equal rows fold the same distances into a growing part, and a
-    maximum taken twice is taken once, so only a row's first member
-    folds it.
+    Returns the labels and, per label, its first row.  Equal rows put a
+    vertex on the same side, so one bit serves them all.
     """
     key = np.column_stack([normals, offs]).view(np.uint64)
     order = np.lexsort(key.T[::-1])
@@ -226,4 +211,60 @@ def _plane_ids(normals, offs):
     new = np.concatenate([[True], (ks[1:] != ks[:-1]).any(axis=1)])
     ids = np.empty(len(key), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
-    return ids.tolist()
+    # lexsort is stable, so each run of equal rows starts at its lowest row
+    return ids, order[new]
+
+
+def _kind_bits(mesh, live, sigma, eps):
+    """(over, bit) lists for growing parts of one kind from the triangles ``live``.
+
+    ``bit[t]`` is the ``_plane_ids`` label of live triangle t's plane
+    among the live triangles' planes, and ``over[v]``, for each corner v
+    of a live triangle, the ``_outside_bits`` int of v against those
+    planes times sigma; other entries are 0.  Growth reads nothing else,
+    since members and candidates are live triangles.
+    """
+    normals, offs = mesh.planes
+    ids, first = _plane_ids(normals[live], offs[live])
+    rows = live[first]
+    used = np.zeros(len(mesh.vertices), dtype=bool)
+    used[mesh.triangles[live]] = True
+    used = np.flatnonzero(used)
+    # negation is exact, so sigma * (x . n - h) == x . (sigma n) - sigma h
+    ints = _outside_bits(mesh.vertices[used], sigma * normals[rows], sigma * offs[rows], eps)
+    over = [0] * len(mesh.vertices)
+    for v, x in zip(used.tolist(), ints):
+        over[v] = x
+    bit = np.zeros(len(mesh.triangles), dtype=np.int64)
+    bit[live] = ids
+    return over, bit.tolist()
+
+
+def _outside_bits(vertices, normals, offs, eps):
+    """Per vertex, an int whose bit p is set unless it lies within ``eps`` below plane p.
+
+    The distances of a block of vertices, at most ``_OUTSIDE_BLOCK``
+    entries, come from one batched matrix-vector product, ``normals @ v``
+    per vertex v (``block @ n`` for a single plane n), the product the
+    running-maxima oracle of the tests folds: a matrix-matrix or dot
+    product rounds some distances one ulp apart, which moves decisions at
+    ``eps`` = 0.  Blocks are written into buffers made once, so the (V, P)
+    table is never held whole, and each row of a block's bits is packed
+    little-endian into one int.  A NaN distance sets its bit.
+    """
+    step = max(1, _OUTSIDE_BLOCK // max(1, len(offs)))
+    shape = (min(step, len(vertices)), len(offs))
+    dist, far = np.empty(shape), np.empty(shape, dtype=bool)
+    ints = []
+    for s in range(0, len(vertices), step):
+        block = vertices[s:s + step]
+        d, f = dist[:len(block)], far[:len(block)]
+        if len(offs) > 1:
+            np.matmul(normals, block[:, :, None], out=d[:, :, None])
+        else:  # one row would make each product a dot product, which rounds otherwise
+            np.matmul(block, normals[0], out=d[:, 0])
+        np.subtract(d, offs, out=d)
+        np.less_equal(d, eps, out=f)
+        np.logical_not(f, out=f)
+        ints += [int.from_bytes(row, "little") for row in np.packbits(f, axis=1, bitorder="little")]
+    return ints

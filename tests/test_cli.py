@@ -398,3 +398,16 @@ def test_help_matches_a_fresh_parser(capsys, argv):
             main(argv)
         out, err = capsys.readouterr()
         assert (exc.value.code, out, err) == expected
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", ["encode", "segment"])
+def test_a_nan_infinite_or_negative_encode_slack_exits_2(capsys, tmp_path, command, eps):
+    mesh_path = tmp_path / "l.obj"
+    mesh_path.write_text(write_obj(shapes.l_prism()))
+    out_path = tmp_path / "l.plnc"
+    argv = [command, str(mesh_path)] + ([str(out_path)] if command == "encode" else [])
+    rc, out, err = run(capsys, *argv, "--eps=" + eps)
+    assert (rc, out) == (2, "")
+    assert err == "ValueError: eps must be finite and >= 0, got %r\n" % float(eps)
+    assert not out_path.exists()

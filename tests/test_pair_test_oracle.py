@@ -4,11 +4,12 @@
 ``oracle_strict_neighbors`` (with ``_seed_list``) below are the earlier
 implementations, kept verbatim as oracles: each wrote the six-vertex
 comparison on its own, and the seed lists had their own stable sort.
-Now both go through ``segmentation._sides`` and the seed lists come
-from ``mesh.adjacency``; the seed lists and every pair's class must
-stay the same on grid-cut fixtures (as built, under an exact axis
-motion, and read back through float32 STL), cap-first prisms and
-sphere hulls.
+Now both go through ``segmentation._sides``, and the seed scan reads
+the strict pairs both ways, stable-sorted by their first triangle,
+which must be the oracle's lists flattened in order.  Those pairs and
+every pair's class must stay the same on grid-cut fixtures (as built,
+under an exact axis motion, and read back through float32 STL),
+cap-first prisms and sphere hulls.
 """
 
 import functools
@@ -126,8 +127,11 @@ def test_seed_lists_match_the_oracle(name, eps):
         eps = EPS_ORIENT_REL * mesh.bbox_diagonal()
     args = pair_inputs(mesh)
     got = _strict_neighbors(*args, eps)
-    assert got == oracle_strict_neighbors(*args, eps)
+    want = oracle_strict_neighbors(*args, eps)
     assert list(got) == [PartKind.PSEUDO_CONVEX, PartKind.PSEUDO_CONCAVE]
+    for kind, lists in want.items():
+        # the oracle's per-triangle lists, flattened in order
+        assert list(zip(*got[kind])) == [(t, nb) for t, nbs in lists for nb in nbs]
 
 
 def slack(mesh, eps):
@@ -175,7 +179,7 @@ def test_the_corpus_has_every_kind_of_pair():
     for mesh in corpus().values():
         args = pair_inputs(mesh)
         seeds = _strict_neighbors(*args, EPS_ORIENT_REL * mesh.bbox_diagonal())
-        kinds |= {kind for kind, pairs in seeds.items() if pairs}
+        kinds |= {kind for kind, (firsts, _) in seeds.items() if firsts}
         # at eps = 0 the rounding dust of coplanar neighbors reads MIXED
         corners, normals, offs, i, j = args
         below, above = _sides(corners[i], corners[j], normals[i], offs[i], normals[j], offs[j], 0.0)

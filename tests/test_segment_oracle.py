@@ -1,13 +1,20 @@
-"""segment_mesh against the pairwise greedy it replaced.
+"""segment_mesh against the two greedy implementations it replaced.
 
-``pairwise_segment_mesh`` below is the earlier implementation, kept
-verbatim as the oracle: it tests every candidate against every current
-member through a cache of pair conditions.  The running-maxima greedy
-in ``planecode.segmentation`` must give the same part table, kinds and
-member order included, on fixtures, their grid-cut tessellations (also
-read back through float32 STL), cap-first extrusions and seeded hulls.
+``pairwise_segment_mesh`` below is the first implementation, kept
+verbatim as an oracle: it tests every candidate against every current
+member through a cache of pair conditions.  ``running_maxima_segment_mesh``
+(with its ``_strict_neighbors`` and ``_plane_ids``) is the second, also
+kept verbatim: a growing part kept, per vertex and per triangle, the
+largest signed distance to its members' planes and of its members'
+vertices, folded in by one numpy product per new plane and new vertex.
+It costs O(VT) rather than O(T^2) pair tests, so it checks large meshes.
+The bitset greedy in ``planecode.segmentation`` must give the same part
+table, kinds and member order included, on fixtures, their grid-cut
+tessellations (also read back through float32 STL), cap-first
+extrusions, seeded hulls and bumpy spheres.
 """
 
+import functools
 import heapq
 import math
 
@@ -17,10 +24,12 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from planecode import TriangleMesh, load_mesh, segment_mesh, shapes, write_stl_binary
+from planecode import segmentation
 from planecode.errors import InconsistentOrientation, NonManifold
 from planecode.geometry import triangle_planes
 from planecode.mesh import SLACK_REL as EPS_ORIENT_REL
-from planecode.segmentation import MeshPart, PartKind
+from planecode.mesh import adjacency
+from planecode.segmentation import MeshPart, PartKind, _outside_bits, _sides
 
 from conftest import seeded_hulls
 
@@ -104,6 +113,113 @@ def pairwise_segment_mesh(mesh, eps=None):
         if not assigned[t]:
             parts.append(MeshPart(PartKind.PSEUDO_CONVEX, [t]))
     return parts
+
+
+def running_maxima_segment_mesh(mesh, eps=None):
+    if not mesh.is_edge_manifold:
+        raise NonManifold("an edge is shared by more than two triangles")
+    if not mesh.is_consistently_oriented:
+        raise InconsistentOrientation(
+            "adjacent triangles disagree on winding direction"
+        )
+    normals, offs = mesh.planes
+    eps = mesh.slack(eps)
+
+    nt = len(mesh.triangles)
+    vertices = mesh.vertices
+    corners = vertices[mesh.triangles]
+    tris = mesh.triangles.tolist()
+    neighbors = mesh.neighbors
+    seeds = _strict_neighbors(corners, normals, offs, *mesh.edges.pairs(), eps)
+    plane_id = _plane_ids(normals, offs)
+
+    assigned = np.zeros(nt, dtype=bool)
+    parts = []
+    for sigma, kind in ((1.0, PartKind.PSEUDO_CONVEX), (-1.0, PartKind.PSEUDO_CONCAVE)):
+        # negation is exact, so sigma * (x . n - h) == x . (sigma n) - sigma h
+        s_normals, s_offs = sigma * normals, sigma * offs
+        strict = seeds[kind]
+        # assignment only grows, so a triangle that fails the seed test
+        # fails it for the rest of the side: the scan resumes, not restarts
+        k = 0
+        while True:
+            while k < len(strict) and (
+                assigned[strict[k][0]] or all(assigned[nb] for nb in strict[k][1])
+            ):
+                k += 1
+            if k == len(strict):
+                break
+            seed = strict[k][0]
+            out_v = np.full(len(vertices), -np.inf)
+            out_m = np.full(nt, -np.inf)
+            folded = set()
+            folded_planes = set()
+            members = []
+            rejected = set()
+            heap = [seed]
+            while heap:
+                t = heapq.heappop(heap)
+                if assigned[t] or t in rejected:
+                    continue
+                a, b, c = tris[t]
+                if not (
+                    out_v[a] <= eps and out_v[b] <= eps and out_v[c] <= eps
+                    and out_m[t] <= eps
+                ):
+                    # one refusal bars this triangle from the whole part
+                    rejected.add(t)
+                    continue
+                assigned[t] = True
+                members.append(t)
+                if plane_id[t] not in folded_planes:
+                    folded_planes.add(plane_id[t])
+                    np.maximum(out_v, vertices @ s_normals[t] - s_offs[t], out=out_v)
+                for v in (a, b, c):
+                    if v not in folded:
+                        folded.add(v)
+                        np.maximum(out_m, s_normals @ vertices[v] - s_offs, out=out_m)
+                for nb in neighbors[t]:
+                    if not assigned[nb] and nb not in rejected:
+                        heapq.heappush(heap, nb)
+            parts.append(MeshPart(kind, members))
+
+    for t in range(nt):
+        if not assigned[t]:
+            parts.append(MeshPart(PartKind.PSEUDO_CONVEX, [t]))
+    return parts
+
+
+def _strict_neighbors(corners, normals, offs, i, j, eps):
+    """Per kind, the triangles in a neighbor pair strictly of it, with those neighbors.
+
+    All neighbor pairs (i, j) go through ``_sides`` in one batch.
+    Coplanar pairs are both below and above, so they count for neither
+    kind.  Each kind gets a list of (triangle, neighbors) in triangle
+    order, neighbors as ``adjacency`` orders them, which is all the seed
+    scan reads.
+    """
+    below, above = _sides(corners[i], corners[j], normals[i], offs[i], normals[j], offs[j], eps)
+    strict = {PartKind.PSEUDO_CONVEX: below & ~above, PartKind.PSEUDO_CONCAVE: above & ~below}
+    return {
+        kind: [(t, nb) for t, nb in enumerate(adjacency(len(corners), i[s], j[s])) if nb]
+        for kind, s in strict.items()
+    }
+
+
+def _plane_ids(normals, offs):
+    """Label each (normal, offset) row, equal labels for bitwise equal rows.
+
+    Equal rows fold the same distances into a growing part, and a
+    maximum taken twice is taken once, so only a row's first member
+    folds it.
+    """
+    key = np.column_stack([normals, offs]).view(np.uint64)
+    order = np.lexsort(key.T[::-1])
+    ks = key[order]
+    new = np.concatenate([[True], (ks[1:] != ks[:-1]).any(axis=1)])
+    ids = np.empty(len(key), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids.tolist()
 
 
 def part_table(parts):
@@ -403,3 +519,119 @@ def test_a_vertex_no_triangle_uses_matches_the_oracle(name, at):
     assert at not in set(padded.triangles.ravel().tolist())
     assert_matches_oracle(padded)
     assert part_table(segment_mesh(padded)) == part_table(segment_mesh(mesh))
+
+
+# -- the running-maxima oracle on large and reordered meshes -----------
+
+@functools.lru_cache(maxsize=None)
+def cut_fixture(name, g):
+    return grid_cut(getattr(shapes, name)(), g)
+
+
+def slacks(mesh):
+    """The default slack, none at all, and 1e-4 times the diagonal."""
+    return [None, 0.0, 1e-4 * mesh.bbox_diagonal()]
+
+
+def assert_matches_running_maxima(mesh, eps=None):
+    got = part_table(segment_mesh(mesh, eps))
+    assert got == part_table(running_maxima_segment_mesh(mesh, eps)), eps
+
+
+@pytest.mark.parametrize("g", [8, 16])
+@pytest.mark.parametrize("name", ["notched_box", "two_notch_box"])
+def test_large_grid_cuts_match_the_running_maxima_oracle(name, g):
+    mesh = cut_fixture(name, g)
+    for eps in slacks(mesh):
+        assert_matches_running_maxima(mesh, eps)
+
+
+@pytest.mark.parametrize("name", ["notched_box", "two_notch_box"])
+def test_float32_stl_grid_cuts_at_g8_match_the_running_maxima_oracle(name):
+    mesh = via_float32_stl(cut_fixture(name, 8))
+    for eps in slacks(mesh):
+        assert_matches_running_maxima(mesh, eps)
+
+
+def test_the_1020_triangle_hull_matches_the_running_maxima_oracle():
+    from test_segmentation import sphere_hull as random_sphere_hull
+
+    mesh = random_sphere_hull(np.random.default_rng(512), 512)
+    assert len(mesh.triangles) == 1020
+    for eps in slacks(mesh):
+        assert_matches_running_maxima(mesh, eps)
+
+
+REORDERED_SOURCES = [
+    ("grid", name, g) for name in sorted(GRID_FIXTURES) for g in (2, 3, 5)
+] + [("bumpy", seed, n) for seed in range(2) for n in (30, 80)]
+
+
+def reordered_source(source):
+    if source[0] == "grid":
+        return cut_fixture(*source[1:])
+    seed, n = source[1:]
+    return bumpy_sphere(seed, n, 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.sampled_from(REORDERED_SOURCES),
+    rot=st.integers(0, len(ROTATIONS) - 1),
+    shift=st.tuples(*[st.integers(-16, 16)] * 3),
+    order=st.integers(0, 2**32 - 1),
+    slack=st.sampled_from([None, 0.0, 1e-4]),
+)
+def test_moved_and_shuffled_meshes_match_the_running_maxima_oracle(source, rot, shift, order, slack):
+    mesh = reordered_source(source)
+    perm = np.random.default_rng(order).permutation(len(mesh.triangles))
+    moved = TriangleMesh(
+        mesh.vertices @ ROTATIONS[rot].T + np.asarray(shift) / 2.0, mesh.triangles[perm]
+    )
+    eps = slack if slack is None else slack * moved.bbox_diagonal()
+    assert_matches_running_maxima(moved, eps)
+
+
+# -- the bits themselves -----------------------------------------------
+
+@pytest.mark.parametrize("p", [7, 8, 9, 64, 65])
+def test_outside_bits_put_plane_p_at_bit_p(p):
+    # plane k is x = k, so a vertex at x = k + 1/2 is outside planes 0..k,
+    # and one at x = -1 is outside none
+    normals = np.tile([1.0, 0.0, 0.0], (p, 1))
+    offs = np.arange(p, dtype=float)
+    xs = [-1.0, *(k + 0.5 for k in range(p)), 3.0]
+    vertices = np.array([[x, 2.0, -3.0] for x in xs])
+    want = [sum(1 << k for k in range(p) if x - k > 0.25) for x in xs]
+    assert _outside_bits(vertices, normals, offs, 0.25) == want
+    assert want[0] == 0 and want[-2] == (1 << p) - 1 and want[-1] == 0b111
+    # a vertex exactly eps outside plane k is within the slack of it
+    assert _outside_bits(np.array([[2.25, 0.0, 0.0]]), normals, offs, 0.25) == [0b11]
+
+
+def test_outside_bits_of_one_plane_round_as_its_fold():
+    # a vertex's distance to its own triangle's plane is rounding dust,
+    # whose sign decides at eps = 0; one plane is folded as vertices @ n
+    mesh = bumpy_sphere(3, 60, 0.1)
+    normals, offs = mesh.planes
+    for t in range(0, len(offs), 7):
+        want = [int(not (d <= 0.0)) for d in mesh.vertices @ normals[t] - offs[t]]
+        assert _outside_bits(mesh.vertices, normals[t:t + 1], offs[t:t + 1], 0.0) == want
+
+
+@pytest.mark.parametrize("block", [1, 9, 64, 1 << 17])
+def test_outside_bits_are_the_same_in_any_block(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    normals = rng.standard_normal((65, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offs = rng.standard_normal(65)
+    vertices = rng.standard_normal((40, 3))
+    vertices[7, 1] = np.nan
+    want = [
+        sum(1 << k for k in range(65) if not (normals[k] @ v - offs[k] <= 0.1))
+        for v in vertices
+    ]
+    monkeypatch.setattr(segmentation, "_OUTSIDE_BLOCK", block)
+    assert _outside_bits(vertices, normals, offs, 0.1) == want
+    # a NaN distance counts as outside
+    assert want[7] == (1 << 65) - 1

@@ -210,17 +210,35 @@ def test_a_1020_triangle_hull_segments_in_well_under_a_second():
 
 def test_seed_lists_and_plane_labels():
     from planecode.mesh import adjacency
-    from planecode.segmentation import _plane_ids
+    from planecode.segmentation import _plane_ids, _strict_neighbors
 
     def seed_list(i, j, nt=6):
-        # the expression _strict_neighbors builds each kind's list with
+        # the expression the per-triangle seed lists were built with
         return [(t, nb) for t, nb in enumerate(adjacency(nt, i, j)) if nb]
+
+    def flattened(lists):
+        return [(t, nb) for t, nbs in lists for nb in nbs]
 
     i, j = np.array([4, 1, 1]), np.array([2, 4, 0])
     assert seed_list(i, j) == [(0, [1]), (1, [4, 0]), (2, [4]), (4, [2, 1])]
     assert seed_list(i[:0], j[:0]) == []
+    # every neighbor pair of a tetrahedron is strictly convex, and
+    # strictly reflex once its winding is turned
+    tet = shapes.tetrahedron()
+    for kind, mesh in (
+        (PartKind.PSEUDO_CONVEX, tet),
+        (PartKind.PSEUDO_CONCAVE, TriangleMesh(tet.vertices, tet.triangles[:, ::-1])),
+    ):
+        i, j = mesh.edges.pairs()
+        seeds = _strict_neighbors(mesh.vertices[mesh.triangles], *mesh.planes, i, j, mesh.slack())
+        assert list(zip(*seeds[kind])) == flattened(seed_list(i, j, 4))
+        assert len(seeds[kind][0]) == 12
+        other = ({*PartKind} - {kind}).pop()
+        assert seeds[other] == ([], [])
     normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     offs = np.array([1.0, 1.0, 1.0, 2.0])
-    ids = _plane_ids(normals, offs)
+    ids, rep = _plane_ids(normals, offs)
     # bitwise equal rows share a label; -0.0 and 0.0 do not
     assert ids[0] == ids[1] and len({ids[0], ids[2], ids[3]}) == 3
+    # each label's first row
+    assert [int(rep[k]) for k in ids] == [0, 0, 2, 3]

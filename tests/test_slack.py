@@ -12,12 +12,13 @@ from planecode import (
     TriangleMesh,
     boundary_planes_for_part,
     encode_convex,
+    encode_segmented,
     mutual_orientation,
     polygonize_part,
     segment_mesh,
     shapes,
 )
-from planecode.convex import coplanar_patches
+from planecode.convex import coplanar_patches, face_table
 from planecode.errors import GeometryError
 from planecode.mesh import SLACK_REL, EdgeTable
 from planecode.mesh_io import count_coplanar_patches
@@ -118,3 +119,24 @@ def test_default_slack_measures_the_mesh_once(monkeypatch):
         mutual_orientation(mesh, a, b)
     segment_mesh(mesh)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+def test_a_nan_infinite_or_negative_slack_is_refused(eps):
+    mesh = shapes.l_prism()
+    part = segment_mesh(mesh)[0]
+    calls = [
+        lambda: mesh.slack(eps),
+        lambda: encode_convex(mesh, eps=eps),
+        lambda: segment_mesh(mesh, eps=eps),
+        lambda: polygonize_part(mesh, part, eps=eps),
+        lambda: boundary_planes_for_part(mesh, part, eps=eps),
+        lambda: mutual_orientation(mesh, 0, 1, eps=eps),
+        lambda: encode_segmented(mesh, eps=eps),
+        lambda: face_table(mesh, eps),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^eps must be finite and >= 0, got "):
+            call()
+    # no face table was cached under the refused key
+    assert all(0 <= key < np.inf for key in mesh.face_tables)
