@@ -23,7 +23,9 @@ call.  Each dual facet it returns is one vertex together with the
 planes that meet there: the vertex is solved from those planes'
 triples, all in one batch when every vertex is simple (three planes),
 and the same lists give every face ring its vertices, so incidence
-never depends on a distance tolerance.
+never depends on a distance tolerance.  A region with a vertex that no
+well-conditioned triple solves is decoded again, whole, from the centre
+of the largest inscribed ball, and that vertex takes Qhull's own point.
 
 This module also holds the pieces the segmented codec shares: coplanar
 patches as components of coplanar neighbours (``coplanar_patches``), the
@@ -225,7 +227,7 @@ def decode_regions(codes, eps=None):
     A power of two scales exactly, and a triple solve's pivots read only
     the normals, so a solved vertex keeps its bits, while offsets near
     the float limit no longer overflow Qhull; error texts give radii in
-    the caller's units.
+    the caller's units.  A NaN ``eps`` raises ValueError.
     The interior point is first the least-squares centre
     (``_least_squares_centres``, one 4x4 solve per region, stacked),
     kept only when a ball larger than ``eps`` fits about it and it is
@@ -242,12 +244,15 @@ def decode_regions(codes, eps=None):
     closed-form determinant clears most triples, since
     cond(A) <= 2 / |det A| for unit rows, and only the rest need an SVD
     condition estimate.  When every vertex has three planes, as at a
-    simple vertex, all of them are solved in one batch.  A vertex with
-    no usable triple takes Qhull's own intersection point, which moves
-    with the interior point, so it is always taken from the Chebyshev
-    centre's intersection; when that intersection lists other dual
-    facets, the region takes its whole output.  So a typical region
-    makes one Qhull call, the intersection.
+    simple vertex, all of them are solved in one batch.  One rule then
+    picks a region's output: a region whose vertices all have a usable
+    triple keeps the output of whichever centre served it; any other
+    region is decoded again, whole, from its Chebyshev centre, where
+    each vertex with no usable triple takes Qhull's own intersection
+    point.  That point moves with the interior point, so only the
+    Chebyshev centre's is ever taken, and the output never depends on
+    which centre served first.  So a typical region makes one Qhull
+    call, the intersection.
     Each plane's ring holds exactly the vertices whose dual facets list
     it, in the order of their normal cones (``_rings``).
     An exact duplicate plane, which Qhull sees once, shares its first
@@ -256,6 +261,8 @@ def decode_regions(codes, eps=None):
     plane order, each ring counterclockwise from outside and starting
     at its smallest vertex index.
     """
+    if eps is not None and math.isnan(eps):
+        raise ValueError("eps must not be NaN")
     codes = list(codes)
     out = [None] * len(codes)
     live = []
@@ -321,7 +328,7 @@ def decode_regions(codes, eps=None):
     done = []
     for i, centre in enumerate(_least_squares_centres(w, h, feas, bounds)):
         a, b = bounds[i], bounds[i + 1]
-        hs = cheb = None
+        hs = None
         if centre is not None:
             try:
                 hs = HalfspaceIntersection(_augmented(w[a:b], -h[a:b]), centre)
@@ -329,48 +336,45 @@ def decode_regions(codes, eps=None):
                 pass
         if hs is None:
             try:
-                hs = cheb = _chebyshev_intersection(w[a:b], h[a:b], feas[i], e[i])
+                hs = _chebyshev_intersection(w[a:b], h[a:b], feas[i], e[i])
             except GeometryError as exc:
                 out[live[i]] = exc
                 continue
-        done.append((i, hs, cheb, *_incidences(hs, kept[a:b])))
+        done.append((i, *_incidences(hs, kept[a:b])))
     if not done:
         return out
-    sizes = _joined([d[3] for d in done])
-    pair_plane = _joined([d[4] for d in done])
+    sizes = _joined([d[1] for d in done])
+    pair_plane = _joined([d[2] for d in done])
     pts, missing = _triple_points(normals, offsets, pair_plane, sizes)
     if missing.any():
-        # Qhull's own point moves with the interior point, so a vertex
-        # with no usable triple takes the Chebyshev centre's point: the
-        # output never depends on which centre served the intersection
-        cuts = np.cumsum([len(d[3]) for d in done])[:-1]
+        # Qhull's own point moves with the interior point, so a region
+        # with a vertex that has no usable triple is decoded again, whole,
+        # from the Chebyshev centre: its output never depends on which
+        # centre served the first intersection
+        cuts = np.cumsum([len(d[1]) for d in done])[:-1]
         redone, blocks = [], []
-        for (i, hs, cheb, n, pairs), p, m in zip(done, np.split(pts, cuts), np.split(missing, cuts)):
+        for (i, n, pairs), p, m in zip(done, np.split(pts, cuts), np.split(missing, cuts)):
             if m.any():
                 a, b = bounds[i], bounds[i + 1]
-                if cheb is None:
-                    try:
-                        cheb = _chebyshev_intersection(w[a:b], h[a:b], feas[i], e[i])
-                    except GeometryError as exc:
-                        out[live[i]] = exc
-                        continue
-                points = _matched_points(hs, cheb)
-                if points is None:
-                    hs, (n, pairs) = cheb, _incidences(cheb, kept[a:b])
-                    p = _vertex_points(normals, offsets, pairs, n, cheb.intersections)
-                else:
-                    p[m] = points[m]
-            redone.append((i, hs, cheb, n, pairs))
+                try:
+                    hs = _chebyshev_intersection(w[a:b], h[a:b], feas[i], e[i])
+                except GeometryError as exc:
+                    out[live[i]] = exc
+                    continue
+                n, pairs = _incidences(hs, kept[a:b])
+                p, m = _triple_points(normals, offsets, pairs, n)
+                p[m] = hs.intersections[m]
+            redone.append((i, n, pairs))
             blocks.append(p)
         done = redone
         if not done:
             return out
         pts = _joined(blocks)
-        sizes = _joined([d[3] for d in done])
-        pair_plane = _joined([d[4] for d in done])
+        sizes = _joined([d[1] for d in done])
+        pair_plane = _joined([d[2] for d in done])
 
     # vertices sorted within each region and scaled back
-    nv = [len(d[3]) for d in done]
+    nv = [len(d[1]) for d in done]
     vstart = list(itertools.accumulate(nv, initial=0))
     if len(done) > 1:
         vregion = np.repeat(np.arange(len(done)), nv)
@@ -599,28 +603,6 @@ def _incidences(hs, kept):
     facets = hs.dual_facets
     sizes = np.fromiter(map(len, facets), dtype=np.int64, count=len(facets))
     return sizes, kept[np.fromiter(itertools.chain.from_iterable(facets), dtype=np.int64)]
-
-
-def _matched_points(first, other):
-    """``other``'s intersection points in the order of ``first``'s dual facets.
-
-    Facets are matched by their sets of planes; None when the two
-    intersections do not list the same sets, each once.
-    """
-    if other is first:
-        return first.intersections
-    where = {tuple(sorted(f)): i for i, f in enumerate(other.dual_facets)}
-    at = [where.get(tuple(sorted(f)), -1) for f in first.dual_facets]
-    if sorted(at) != list(range(len(other.dual_facets))):
-        return None
-    return other.intersections[at]
-
-
-def _vertex_points(normals, offsets, flat, sizes, fallback):
-    """One point per dual facet: ``_triple_points``, else Qhull's from ``fallback``."""
-    pts, missing = _triple_points(normals, offsets, flat, sizes)
-    pts[missing] = fallback[missing]
-    return pts
 
 
 def _triple_points(normals, offsets, flat, sizes):

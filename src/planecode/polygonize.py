@@ -327,7 +327,10 @@ def encode_segmented(mesh, eps=None):
     own decoder would reject (too few planes, coplanar normals, no
     interior) raises PartUndecodable naming the part instead of
     producing a code that cannot be read back.  The parts are built in
-    order and their codes decoded together (``decode_parts``).  The
+    order and their codes decoded together (``decode_parts``) at the
+    decode side's default radius, the one ``decode_segmented`` and
+    ``planecode decode`` use: ``eps`` is the encode slack, a length on
+    the mesh, not a least inscribed-ball radius.  The
     error is the one a part-by-part loop would raise: when building
     part j fails, the first of parts 0 to j - 1 that does not decode,
     else part j's own GeometryError.
@@ -343,7 +346,7 @@ def encode_segmented(mesh, eps=None):
             failure = exc
             break
         coded.append(PartCode(part.kind, face_planes, boundary))
-    decode_parts(coded, eps=eps)
+    decode_parts(coded)
     if failure is not None:
         raise failure
     return SegmentedCode(coded)

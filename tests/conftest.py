@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from planecode import shapes
+from planecode import TriangleMesh, shapes
 
 # a float32 signalling NaN: numpy's cast to float64 flags it as invalid
 SNAN = struct.pack("<I", 0x7F800001)
@@ -30,6 +30,13 @@ def corpus_meshes():
         "notched_box": shapes.notched_box(),
         "two_notch_box": shapes.two_notch_box(),
     }
+
+
+def thin_notched_box():
+    """``notched_box`` with z scaled to a total height of 1e-3."""
+    mesh = shapes.notched_box()
+    z = mesh.vertices[:, 2]
+    return TriangleMesh(mesh.vertices * [1.0, 1.0, 1e-3 / (z.max() - z.min())], mesh.triangles)
 
 
 def seeded_hulls(seed, count, lo=8, hi=65):

@@ -21,7 +21,7 @@ from planecode import (
 )
 from planecode.cli import main
 
-from conftest import SNAN
+from conftest import SNAN, thin_notched_box
 
 
 def run(capsys, *argv):
@@ -411,3 +411,33 @@ def test_a_nan_infinite_or_negative_encode_slack_exits_2(capsys, tmp_path, comma
     assert (rc, out) == (2, "")
     assert err == "ValueError: eps must be finite and >= 0, got %r\n" % float(eps)
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("mesh", ["cube", "l_prism"])
+@pytest.mark.parametrize("command", ["decode", "simplify"])
+def test_a_nan_decode_radius_exits_2(capsys, tmp_path, command, mesh):
+    mesh_path = tmp_path / "m.obj"
+    mesh_path.write_text(write_obj(getattr(shapes, mesh)()))
+    code_path = tmp_path / "m.plnc"
+    assert run(capsys, "encode", str(mesh_path), str(code_path))[0] == 0
+    if command == "decode":
+        out_path, extra = tmp_path / "o.obj", []
+    else:
+        # simplify decodes only when a pass runs
+        out_path, extra = tmp_path / "o.plnc", ["--delta", "0.5"]
+    rc, out, err = run(capsys, command, str(code_path), str(out_path), "--eps=nan", *extra)
+    assert (rc, out, err) == (2, "", "ValueError: eps must not be NaN\n")
+    assert not out_path.exists()
+
+
+def test_a_thin_solid_encodes_at_a_large_slack_and_decodes(capsys, tmp_path):
+    mesh_path = tmp_path / "thin.obj"
+    mesh_path.write_text(write_obj(thin_notched_box()))
+    code_path = tmp_path / "thin.plnc"
+    rc, out, err = run(capsys, "encode", str(mesh_path), str(code_path), "--eps", "1e-3")
+    assert (rc, err) == (0, "")
+    assert out.startswith("segmented code: 2 parts, ")
+    out_path = tmp_path / "o.obj"
+    rc, _, err = run(capsys, "decode", str(code_path), str(out_path))
+    assert (rc, err) == (0, "")
+    assert load_mesh(out_path.read_text(), "obj").is_closed

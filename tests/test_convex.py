@@ -14,13 +14,18 @@ from planecode import (
     PlaneSet,
     TriangleMesh,
     UnboundedRegion,
+    SimplifyParams,
     check_rotation,
     decode_convex,
+    decode_segmented,
     encode_convex,
+    encode_segmented,
     rotate_planes,
+    simplify_code,
     translate_planes,
 )
 from planecode import shapes
+from planecode.convex import decode_regions
 from conftest import quaternion_rotation, seeded_hulls
 
 DEG = 180.0 / math.pi
@@ -122,6 +127,25 @@ def test_decode_rejects_empty_region():
     planes = list(box_code()) + list(PlaneSet.from_normals([(-1, 0, 0)], [-5.0]))
     with pytest.raises(EmptyRegion):
         decode_convex(PlaneSet(planes))
+
+
+def test_a_nan_decode_radius_is_refused():
+    cube = box_code()
+    segmented = encode_segmented(shapes.l_prism())
+    calls = [
+        lambda: decode_convex(cube, eps=math.nan),
+        lambda: decode_regions([cube, cube[:3]], eps=math.nan),
+        lambda: decode_segmented(segmented, eps=math.nan),
+        lambda: simplify_code(cube, SimplifyParams(delta=0.5), eps=math.nan),
+        lambda: simplify_code(segmented, SimplifyParams(delta=0.5), eps=math.nan),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^eps must not be NaN$"):
+            call()
+    # a negative radius still decodes, and an infinite one refuses every region
+    assert len(decode_convex(cube, eps=-1.0).vertices) == 8
+    with pytest.raises(EmptyRegion, match=r"^no ball of radius above inf "):
+        decode_convex(cube, eps=math.inf)
 
 
 def test_encode_requires_a_closed_mesh():

@@ -6,19 +6,19 @@ It now first tries the least-squares centre (``_least_squares_centres``),
 one 4x4 solve, and falls back to the Chebyshev centre when that point is
 refused or Qhull's intersection from it fails.  A vertex with no usable
 plane triple still takes Qhull's point from the Chebyshev centre's
-intersection.  So the outputs must not move: every code is decoded as
-the library does and again with the least-squares centre always
-refused, and both must give the same vertex bytes, faces, face planes
-and redundant planes, or the same error and text.  The codes are
-float32-stored hulls of 16 to 2500 points, prisms, chamfered cubes,
-repeated planes, the part codes of the segmented fixtures, the
-near-singular roof, refused slabs and random hulls.
+intersection: its whole region is decoded again from there.  So the
+outputs must not move: every code is decoded as the library does and
+again with the least-squares centre always refused, and both must
+give the same vertex bytes, faces, face planes and redundant planes, or
+the same error and text.  The codes are float32-stored hulls of 16 to
+2500 points, prisms, chamfered cubes, repeated planes, the part codes
+of the segmented fixtures, the near-singular roof, refused slabs and
+random hulls.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import HalfspaceIntersection
 
 from planecode import PlaneSet, decode_convex, encode_convex, shapes
 from planecode import convex
@@ -121,27 +121,11 @@ def test_the_near_singular_roof_matches_bit_for_bit():
     assert accepted(stored(code))
 
 
-def test_facets_are_matched_by_their_plane_sets():
-    code = shapes.chamfered_cube_code(0.2)
-    halfspaces = np.column_stack([code.normals(), -code.offsets()])
-    a = HalfspaceIntersection(halfspaces, np.array([0.5, 0.5, 0.5]))
-    b = HalfspaceIntersection(halfspaces, np.array([0.3, 0.6, 0.55]))
-    assert convex._matched_points(a, a) is a.intersections
-    points = convex._matched_points(a, b)
-    where = {tuple(sorted(f)): i for i, f in enumerate(b.dual_facets)}
-    for f, p in zip(a.dual_facets, points):
-        assert p.tobytes() == b.intersections[where[tuple(sorted(f))]].tobytes()
-    fewer = HalfspaceIntersection(halfspaces[1:], np.array([0.5, 0.5, 0.5]))
-    assert convex._matched_points(a, fewer) is None
-
-
 def test_other_facets_take_the_chebyshev_output_whole():
-    # as if the Chebyshev centre's intersection listed other facets
+    # the roof's ridge vertices have no usable triple, so its region is
+    # decoded again, whole, from the Chebyshev centre
     code = roof()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convex, "_matched_points", lambda first, other: None)
-        got = outcome(decode_convex, code)
-    assert got == chebyshev_outcome(code)
+    assert outcome(decode_convex, code) == chebyshev_outcome(code)
 
 
 def test_refused_slabs_match_bit_for_bit():

@@ -26,6 +26,8 @@ from planecode.mesh_io import write_obj
 from planecode.polygonize import _pencil_plane
 from planecode.segmentation import MeshPart, PartKind
 
+from conftest import thin_notched_box
+
 EPS = 1e-12
 
 CUBE_FACE_TRIPLETS = np.array(
@@ -211,6 +213,18 @@ def test_polygonize_is_stable_across_a_decode_round_trip(cube_mesh):
     back = decode_segmented(encode_segmented(cube_mesh))
     again = polygonize_part(back, segment_mesh(back)[0])
     assert np.abs(face_triplets(first) - face_triplets(again)).max() < EPS
+
+
+def test_a_thin_solid_encodes_at_a_slack_above_its_inscribed_radius():
+    # the self-check decodes at the decode side's default radius, not at
+    # the 1e-3 slack: no ball of radius 1e-3 fits in this 1e-3 thin solid
+    thin = thin_notched_box()
+    code = encode_segmented(thin, eps=1e-3)
+    back = decode_segmented(code)
+    assert back.is_closed
+    assert abs(back.volume() - thin.volume()) <= 1e-8 * thin.volume()
+    with pytest.raises(PartUndecodable, match="^part 0 undecodable: no ball of radius above 0.001 "):
+        decode_segmented(code, eps=1e-3)
 
 
 def caps_first_star_prism(k=4, outer=1.0, inner=0.45, height=0.6):

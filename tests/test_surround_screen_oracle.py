@@ -10,7 +10,7 @@ the outcome and message of ``oracle_decode_convex``, which runs the
 hull check on every code.  The inputs are the decode oracles' codes,
 random normal sets in and near a hemisphere, 4- and 5-plane codes,
 coplanar and duplicated normals, and the part codes of segmented
-fixtures.  ``_vertex_points`` solves simple vertices (three planes) in
+fixtures.  ``_triple_points`` solves simple vertices (three planes) in
 one batch; it must match the earlier triple loop bit for bit and
 estimate each near-singular triple's condition number once.  A common
 decode builds no hull at all: its interior point is the least-squares
@@ -287,6 +287,13 @@ def test_normals_in_a_hemisphere_still_build_the_normal_hull(monkeypatch):
     assert dims == [3]
 
 
+def filled_points(normals, offsets, flat, sizes, fallback):
+    """``_triple_points``, each facet with no usable triple taking its ``fallback`` row."""
+    pts, missing = convex._triple_points(normals, offsets, flat, sizes)
+    pts[missing] = fallback[missing]
+    return pts
+
+
 def simple_vertex_input(rng, count):
     """Planes of ``count`` three-plane facets, a third of them near-singular."""
     near = near_singular_unit_triples(rng, count // 3)
@@ -301,7 +308,7 @@ def test_simple_vertices_match_the_triple_loop_bit_for_bit():
     rng = np.random.default_rng(37)
     normals, offsets, flat, sizes = simple_vertex_input(rng, 3000)
     fallback = rng.normal(size=(len(sizes), 3))
-    got = convex._vertex_points(normals, offsets, flat, sizes, fallback)
+    got = filled_points(normals, offsets, flat, sizes, fallback)
     want = oracle_vertex_points(normals, offsets, flat, sizes, fallback)
     assert got.tobytes() == want.tobytes()
     kept = (got == fallback).all(axis=1).sum()
@@ -311,9 +318,8 @@ def test_simple_vertices_match_the_triple_loop_bit_for_bit():
 def test_simple_vertices_estimate_each_condition_number_once(monkeypatch):
     rng = np.random.default_rng(41)
     normals, offsets, flat, sizes = simple_vertex_input(rng, 600)
-    fallback = rng.normal(size=(len(sizes), 3))
     calls = counting_cond(monkeypatch)
-    convex._vertex_points(normals, offsets, flat, sizes, fallback)
+    convex._triple_points(normals, offsets, flat, sizes)
     assert len(calls) == 1 and 0 < calls[0] < len(sizes)
 
 
@@ -324,6 +330,6 @@ def test_mixed_facet_sizes_keep_the_triple_loop():
     sizes = rng.choice([3, 3, 3, 4, 5], size=300)
     flat = np.concatenate([rng.choice(40, k, replace=False) for k in sizes.tolist()])
     fallback = rng.normal(size=(300, 3))
-    got = convex._vertex_points(normals, offsets, flat, sizes, fallback)
+    got = filled_points(normals, offsets, flat, sizes, fallback)
     want = oracle_vertex_points(normals, offsets, flat, sizes, fallback)
     assert got.tobytes() == want.tobytes()
