@@ -12,15 +12,16 @@ one-region case) takes a list of plane sets.  Qhull runs once per
 region, and every other step once over all the regions' planes back to
 back, so the parts of a segmented code share one pass of numpy glue.
 Each region is decoded in unit scale, its offsets over a power of two,
-so a code decodes at any finite scale.  Decoding first checks that the
-normals surround the origin, mostly by a certified screen of 128
-support values and only otherwise by the 3-D hull of the normals.  It then needs an interior point.  The least-squares
-centre of the planes, one 4x4 solve, serves when it is provably well
-inside; otherwise the centre of the largest inscribed ball, read off the
-lower hull of the planes lifted to R^4, does.  Qhull's half-space
-intersection from that point is, for a typical decode, the one Qhull
-call.  Each dual facet it returns is one vertex together with the
-planes that meet there: the vertex is solved from those planes'
+so a code decodes at any finite scale.  Decoding needs an interior
+point.  The least-squares centre of the planes, one 4x4 solve, serves
+when it is provably well inside; otherwise the centre of the largest
+inscribed ball, read off the lower hull of the planes lifted to R^4,
+does.  Qhull's half-space intersection from that point is, for a
+typical decode, the one Qhull call.  Its dual hull also proves the
+region bounded: when that hull keeps the origin far enough inside, the
+normals surround it, and only a region it does not clear builds the
+3-D hull of its normals.  Each dual facet is one vertex together with
+the planes that meet there: the vertex is solved from those planes'
 triples, all in one batch when every vertex is simple (three planes),
 and the same lists give every face ring its vertices, so incidence
 never depends on a distance tolerance.  A region with a vertex that no
@@ -73,8 +74,7 @@ MAX_VERTEX_TRIPLES = 220  # triples averaged per vertex, C(12, 3): bounds the co
 FEAS_REL = 1e-9           # least inscribed-ball radius per unit of max(1, |h|)
 COPLANAR_ANGLE = 1e-6     # radians; triangles closer than this may share a face
 CONVEX_ROWS = 64          # triangles per block of the convexity test
-SURROUND_DIRECTIONS = 128 # directions probed by the surround screen
-SURROUND_MARGIN = 1e-6    # ball about the origin the surround screen proves
+SURROUND_MARGIN = 1e-6    # ball about the origin a region's dual hull must prove
 CENTRED_SLACK = 0.5       # least over mean slack of an accepted least-squares centre
 ROTATION_TOL = 1e-9       # largest |R^T R - I| entry and |det R - 1| of a rotation
 
@@ -214,13 +214,14 @@ def decode_regions(codes, eps=None):
     back, and each region's values round as they would alone.
 
     A region needs four planes, and normals that surround the origin,
-    else UnboundedRegion.  A screen (``_surrounds_origin``) proves the
-    latter for most codes from 128 support values: when the normals'
-    support function exceeds the net's covering radius plus
-    SURROUND_MARGIN in every direction of SURROUND_NET, their hull holds
-    a ball about the origin.  Only a region it cannot clear builds the
-    3-D hull of its normals, whose facets must all pass more than 1e-9
-    from the origin.
+    else UnboundedRegion: the 3-D hull of its normals must keep every
+    facet more than 1e-9 from the origin (``_surround_error``).  That
+    hull is built only for a region that its own Qhull intersection
+    does not prove bounded (``_bounded``: the dual hull shows that the
+    normals' hull holds a ball of radius SURROUND_MARGIN about the
+    origin), or whose least-squares centre, Chebyshev centre or
+    intersection fails; its UnboundedRegion then comes before any other
+    error, so every verdict and message is the hull check's.
     Each region is decoded in unit scale: its offsets and ``eps``
     (default FEAS_REL * max(1, max |h|)) are divided by 2^k, k the
     binary exponent of its max |h|, and its vertices multiplied back.
@@ -273,17 +274,9 @@ def decode_regions(codes, eps=None):
             live.append(r)
     if not live:
         return out
-    normals, t, starts = _stacked(codes, live)
-    cleared = _surrounds_origin(normals, starts)
-    if not all(cleared):
-        for i, ok in enumerate(cleared):
-            if not ok:
-                out[live[i]] = _surround_error(normals[starts[i]:starts[i + 1]])
-        if any(out[r] is not None for r in live):
-            live = [r for r in live if out[r] is None]
-            if not live:
-                return out
-            normals, t, starts = _stacked(codes, live)
+    sets = [codes[r] for r in live]
+    normals, t = _joined([c.normals() for c in sets]), _joined([c.triplets() for c in sets])
+    starts = list(itertools.accumulate(map(len, sets), initial=0))
     k = len(live)
     total = starts[-1]
 
@@ -308,11 +301,12 @@ def decode_regions(codes, eps=None):
     # region sit side by side, first copy first, in the stable
     # lexicographic order, which like ``==`` takes h = -0.0 and 0.0 as
     # equal; with the region as the leading key, each region keeps its
-    # positions.  Two regions never meet in an equal pair: a region's
-    # last row has its largest nu, above pi/2 since some normal points
-    # down, and the next region's first row its least, below pi/2.
+    # positions, and a region's last row is no copy of the next one's
+    # first row.
     ts = t[order]
     same = (ts[1:] == ts[:-1]).all(axis=1)
+    if k > 1:
+        same &= region[1:] == region[:-1]
     first = np.arange(total)
     if same.any():
         for i in np.flatnonzero(same).tolist():
@@ -324,21 +318,20 @@ def decode_regions(codes, eps=None):
         kept, w, h, bounds = first, normals, offsets, starts
 
     # one Qhull intersection per region, and its (plane, vertex)
-    # incidence pairs, one per entry of a dual facet
+    # incidence pairs, one per entry of a dual facet; a region whose
+    # intersection fails or proves no bound asks the normals' hull,
+    # whose UnboundedRegion comes before any other error
     done = []
     for i, centre in enumerate(_least_squares_centres(w, h, feas, bounds)):
         a, b = bounds[i], bounds[i + 1]
-        hs = None
-        if centre is not None:
-            try:
-                hs = HalfspaceIntersection(_augmented(w[a:b], -h[a:b]), centre)
-            except QhullError:
-                pass
-        if hs is None:
-            try:
-                hs = _chebyshev_intersection(w[a:b], h[a:b], feas[i], e[i])
-            except GeometryError as exc:
-                out[live[i]] = exc
+        try:
+            hs, err = _intersection(w[a:b], h[a:b], feas[i], e[i], centre), None
+        except GeometryError as exc:
+            hs, err = None, exc
+        if hs is None or not _bounded(hs):
+            err = _surround_error(normals[starts[i]:starts[i + 1]]) or err
+            if err is not None:
+                out[live[i]] = err
                 continue
         done.append((i, *_incidences(hs, kept[a:b])))
     if not done:
@@ -357,7 +350,7 @@ def decode_regions(codes, eps=None):
             if m.any():
                 a, b = bounds[i], bounds[i + 1]
                 try:
-                    hs = _chebyshev_intersection(w[a:b], h[a:b], feas[i], e[i])
+                    hs = _intersection(w[a:b], h[a:b], feas[i], e[i])
                 except GeometryError as exc:
                     out[live[i]] = exc
                     continue
@@ -412,53 +405,9 @@ def decode_regions(codes, eps=None):
     return out
 
 
-def _stacked(codes, live):
-    """Normals and rows of ``codes[r]`` for r in ``live``, back to back, and each one's start.
-
-    The starts are a list that ends with the total.
-    """
-    if len(live) == 1:
-        code = codes[live[0]]
-        return code.normals(), code.triplets(), [0, len(code)]
-    sets = [codes[r] for r in live]
-    starts = list(itertools.accumulate(map(len, sets), initial=0))
-    return (
-        np.concatenate([c.normals() for c in sets]),
-        np.concatenate([c.triplets() for c in sets]),
-        starts,
-    )
-
-
 def _joined(arrays):
     """``np.concatenate(arrays)``, with a single array returned as it is."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _fibonacci_sphere(k):
-    """(k, 3) unit directions spread evenly over the sphere (Fibonacci lattice)."""
-    i = np.arange(k) + 0.5
-    z = 1.0 - 2.0 * i / k
-    r = np.sqrt(1.0 - z * z)
-    theta = math.pi * (1.0 + math.sqrt(5.0)) * i
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-
-
-def _covering_radius(net):
-    """Least chord distance within which every unit vector has a direction of ``net``.
-
-    The unit vectors farthest from the net are the centres of the
-    empty caps that the facets of the net's convex hull cut off the
-    sphere: a facet's outward unit normal, equidistant from its three
-    corners, with no direction of the net nearer.  The radius is the
-    largest distance from such a normal to its facet's corners.
-    """
-    hull = ConvexHull(net)
-    corners = net[hull.simplices]
-    return float(np.linalg.norm(corners - hull.equations[:, None, :3], axis=2).max())
-
-
-SURROUND_NET = _fibonacci_sphere(SURROUND_DIRECTIONS)
-SURROUND_RHO = _covering_radius(SURROUND_NET)
 
 
 def _augmented(normals, last):
@@ -472,27 +421,19 @@ def _augmented(normals, last):
     return out
 
 
-def _surrounds_origin(normals, starts):
-    """Whether each region's unit normals provably surround the origin with room to spare.
+def _bounded(hs):
+    """Whether the dual hull of ``hs`` proves that its normals surround the origin.
 
-    Region i holds the rows from ``starts[i]`` to ``starts[i + 1]``.  The
-    support function h(d) = max_i omega_i . d of unit normals moves by
-    at most |d - d'| between two directions, and every unit vector lies
-    within SURROUND_RHO of a direction d_j of SURROUND_NET.  So when
-    every h(d_j) exceeds SURROUND_RHO + SURROUND_MARGIN, h exceeds
-    SURROUND_MARGIN everywhere: the normals' hull holds the ball of that
-    radius about the origin, every facet of it lies farther than that
-    from the origin, and the normals span three dimensions.  That is the
-    answer ``_surround_error``'s hull check would reach, far beyond its
-    1e-9 slack and Qhull's rounding.  A False, NaN normals included,
-    proves nothing; the caller then runs the check itself.  Returns one
-    bool per region.
+    The dual points are omega_i / s_i, s_i the slack of plane i at the
+    interior point.  With every dual facet at least d from the origin,
+    the normals' hull holds the ball of radius s_min d about it, s_min =
+    1 / max |omega_i / s_i|: when that exceeds SURROUND_MARGIN, far
+    beyond ``_surround_error``'s 1e-9 slack, the check would pass.  A
+    False proves nothing.
     """
-    support = normals @ SURROUND_NET.T
-    bound = SURROUND_RHO + SURROUND_MARGIN
-    if len(starts) == 2:
-        return [bool(support.max(axis=0).min() > bound)]
-    return (np.maximum.reduceat(support, starts[:-1]).min(axis=1) > bound).tolist()
+    p = hs.dual_points
+    d = -hs.dual_equations[:, 3].max()
+    return bool(d > SURROUND_MARGIN * math.sqrt(row_dots(p, p).max()))
 
 
 def _surround_error(normals):
@@ -528,21 +469,34 @@ def _least_squares_centres(normals, offsets, feas, bounds):
       centre's dual points.
 
     A single region's sums are BLAS products, as they always were;
-    several regions' sums run in row order, per region.  A non-finite
-    slack fails a test, and the caller falls back to
-    ``_chebyshev_centre``.
+    several regions' sums run in row order, per region.  A singular
+    system gives None, and a non-finite slack fails a test; the caller
+    then falls back to ``_chebyshev_centre``.
     """
     a = _augmented(normals, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         if len(bounds) == 2:
-            x = np.linalg.solve(a.T @ a, a.T @ offsets)[:3]
+            try:
+                x = np.linalg.solve(a.T @ a, a.T @ offsets)[:3]
+            except np.linalg.LinAlgError:
+                return [None]
             slack = offsets - normals @ x
             least = slack.min()
             return [x if least > feas[0] and least >= CENTRED_SLACK * slack.mean() else None]
         starts = bounds[:-1]
         n = np.diff(bounds)
         m = np.add.reduceat(a[:, :, None] * a[:, None, :], starts)
-        x = np.linalg.solve(m, np.add.reduceat(a * offsets[:, None], starts)[:, :, None])
+        rhs = np.add.reduceat(a * offsets[:, None], starts)[:, :, None]
+        try:
+            x = np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError:
+            # only now is each system solved alone: a singular one stays NaN
+            x = np.full_like(rhs, np.nan)
+            for j in range(len(m)):
+                try:
+                    x[j] = np.linalg.solve(m[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    pass
         x = x[:, :3, 0]
         slack = offsets - row_dots(normals, np.repeat(x, n, axis=0))
         least = np.minimum.reduceat(slack, starts)
@@ -550,23 +504,33 @@ def _least_squares_centres(normals, offsets, feas, bounds):
     return [c if good else None for c, good in zip(x, ok.tolist())]
 
 
-def _chebyshev_intersection(normals, offsets, feas, e=0):
-    """Qhull's half-space intersection from the Chebyshev centre.
+def _intersection(normals, offsets, feas, e, centre=None):
+    """Qhull's half-space intersection from ``centre``, else from the Chebyshev centre.
 
-    EmptyRegion when the largest inscribed ball has radius at most
-    ``feas``, or when Qhull fails.  The offsets and ``feas`` are in units
-    of 2^e, and the error text gives radii in the caller's units.
+    The Chebyshev centre serves when ``centre`` is None or Qhull fails
+    from it: EmptyRegion when the largest inscribed ball has radius at
+    most ``feas``, or when Qhull fails again.  The offsets and ``feas``
+    are in units of 2^e, and the error text gives radii in the caller's
+    units.  An unbounded region's dual facets may pass through the
+    origin; scipy's division of them into points warns nothing.
     """
-    centre, radius = _chebyshev_centre(normals, offsets)
-    if radius <= feas:
-        raise EmptyRegion(
-            "no ball of radius above %.3g fits inside every half-space "
-            "(largest radius %.3g)" % (math.ldexp(feas, e), math.ldexp(radius, e))
-        )
-    try:
-        return HalfspaceIntersection(_augmented(normals, -offsets), centre)
-    except QhullError as exc:
-        raise EmptyRegion("half-space intersection failed: %s" % _first_line(exc))
+    halfspaces = _augmented(normals, -offsets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if centre is not None:
+            try:
+                return HalfspaceIntersection(halfspaces, centre)
+            except QhullError:
+                pass
+        centre, radius = _chebyshev_centre(normals, offsets)
+        if radius <= feas:
+            raise EmptyRegion(
+                "no ball of radius above %.3g fits inside every half-space "
+                "(largest radius %.3g)" % (math.ldexp(feas, e), math.ldexp(radius, e))
+            )
+        try:
+            return HalfspaceIntersection(halfspaces, centre)
+        except QhullError as exc:
+            raise EmptyRegion("half-space intersection failed: %s" % _first_line(exc))
 
 
 def _chebyshev_centre(normals, offsets):

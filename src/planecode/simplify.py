@@ -151,8 +151,11 @@ def simplify_code(code, params, eps=None):
     whose directions differ by less than ``params.tau`` (skipped at
     tau = 0).  Either pass raises OverSimplified when it would leave
     fewer than 4 planes in all, or no face plane; a part's message
-    starts "part <index>: ".
+    starts "part <index>: ".  A NaN ``eps`` raises ValueError, also
+    when no pass runs.
     """
+    if eps is not None and math.isnan(eps):
+        raise ValueError("eps must not be NaN")
     if not isinstance(code, SegmentedCode):
         return _simplify_faces(
             code, 0, lambda planes: decode_convex(planes, eps=eps), "", params

@@ -414,17 +414,21 @@ def test_a_nan_infinite_or_negative_encode_slack_exits_2(capsys, tmp_path, comma
 
 
 @pytest.mark.parametrize("mesh", ["cube", "l_prism"])
-@pytest.mark.parametrize("command", ["decode", "simplify"])
-def test_a_nan_decode_radius_exits_2(capsys, tmp_path, command, mesh):
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        pytest.param("decode", [], id="decode"),
+        # simplify decodes only when a pass runs; with none, eps is still read
+        pytest.param("simplify", ["--delta", "0.5"], id="simplify"),
+        pytest.param("simplify", ["--delta", "0", "--tau", "0"], id="simplify-no-pass"),
+    ],
+)
+def test_a_nan_decode_radius_exits_2(capsys, tmp_path, command, extra, mesh):
     mesh_path = tmp_path / "m.obj"
     mesh_path.write_text(write_obj(getattr(shapes, mesh)()))
     code_path = tmp_path / "m.plnc"
     assert run(capsys, "encode", str(mesh_path), str(code_path))[0] == 0
-    if command == "decode":
-        out_path, extra = tmp_path / "o.obj", []
-    else:
-        # simplify decodes only when a pass runs
-        out_path, extra = tmp_path / "o.plnc", ["--delta", "0.5"]
+    out_path = tmp_path / ("o.obj" if command == "decode" else "o.plnc")
     rc, out, err = run(capsys, command, str(code_path), str(out_path), "--eps=nan", *extra)
     assert (rc, out, err) == (2, "", "ValueError: eps must not be NaN\n")
     assert not out_path.exists()

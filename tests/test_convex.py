@@ -138,6 +138,9 @@ def test_a_nan_decode_radius_is_refused():
         lambda: decode_segmented(segmented, eps=math.nan),
         lambda: simplify_code(cube, SimplifyParams(delta=0.5), eps=math.nan),
         lambda: simplify_code(segmented, SimplifyParams(delta=0.5), eps=math.nan),
+        # no pass runs, so nothing is decoded
+        lambda: simplify_code(cube, SimplifyParams(), eps=math.nan),
+        lambda: simplify_code(segmented, SimplifyParams(), eps=math.nan),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"^eps must not be NaN$"):

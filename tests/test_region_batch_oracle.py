@@ -1,12 +1,13 @@
 """decode_regions against a loop of the single-region decoder it replaced, bit for bit.
 
 ``convex.decode_regions`` decodes many plane sets at once: Qhull runs
-once per region, and every other step (the surround screen, the
-duplicate map, the least-squares centres, the triple solves, the vertex
-sort, the cone sums and the rings) runs once over all the regions'
-planes back to back.  ``decode_convex`` is its one-region case.  The
-earlier ``decode_convex`` is kept below verbatim as the oracle, with the
-helpers it called that have since changed.  Every region of a list must
+once per region, and every other step (the duplicate map, the
+least-squares centres, the triple solves, the vertex sort, the cone
+sums and the rings) runs once over all the regions' planes back to
+back.  ``decode_convex`` is its one-region case.  The earlier
+``decode_convex`` is kept below verbatim as the oracle, with the helpers
+it called that have since changed, and with the exact check that the
+normals surround the origin run on every code.  Every region of a list must
 give that oracle's vertices (compared as bytes, so -0.0 counts), faces,
 face planes and redundant planes, or its error class and text.  The
 lists mix fixtures, float32-stored hulls, codes with exact duplicate
@@ -44,9 +45,6 @@ from planecode.convex import (
     COND_LIMIT,
     DET_CLEAR,
     FEAS_REL,
-    SURROUND_MARGIN,
-    SURROUND_NET,
-    SURROUND_RHO,
     ConvexPolyhedron,
     _chebyshev_centre,
     _combinations,
@@ -80,13 +78,12 @@ def oracle_decode_convex(code, eps=None):
     normals = code.normals()
     offsets = code.offsets()
 
-    if not oracle_surrounds_origin(normals):
-        try:
-            hull = ConvexHull(normals)
-        except QhullError:
-            raise UnboundedRegion("plane normals are degenerate (coplanar or fewer)")
-        if hull.equations[:, 3].max() > -1e-9:
-            raise UnboundedRegion("normals do not surround the origin")
+    try:
+        hull = ConvexHull(normals)
+    except QhullError:
+        raise UnboundedRegion("plane normals are degenerate (coplanar or fewer)")
+    if hull.equations[:, 3].max() > -1e-9:
+        raise UnboundedRegion("normals do not surround the origin")
 
     feas = FEAS_REL * max(1.0, float(np.abs(offsets).max())) if eps is None else eps
 
@@ -145,11 +142,6 @@ def oracle_decode_convex(code, eps=None):
     faces = [rings[j] for j in first[carrying].tolist()]
     redundant = np.flatnonzero(~carrying).tolist()
     return ConvexPolyhedron(verts, faces, face_planes, code, redundant)
-
-
-def oracle_surrounds_origin(normals):
-    support = (normals @ SURROUND_NET.T).max(axis=0)
-    return bool(support.min() > SURROUND_RHO + SURROUND_MARGIN)
 
 
 def oracle_least_squares_centre(normals, offsets, feas):

@@ -1,31 +1,33 @@
-"""The surround screen and the simple-vertex batch against the code they skip.
+"""The boundedness certificate and the simple-vertex batch against the code they skip.
 
 ``decode_convex`` used to build the 3-D convex hull of every code's
-normals to check that they surround the origin.  It now first asks
-``convex._surrounds_origin``, which proves that from 128 support values
-for most codes, and builds the hull only for codes the screen cannot
-clear.  The old check is kept below verbatim as the oracle: the screen
-must never clear a code the oracle rejects, and every decode must give
-the outcome and message of ``oracle_decode_convex``, which runs the
-hull check on every code.  The inputs are the decode oracles' codes,
-random normal sets in and near a hemisphere, 4- and 5-plane codes,
-coplanar and duplicated normals, and the part codes of segmented
-fixtures.  ``_triple_points`` solves simple vertices (three planes) in
-one batch; it must match the earlier triple loop bit for bit and
-estimate each near-singular triple's condition number once.  A common
-decode builds no hull at all: its interior point is the least-squares
-centre.  Only a decode whose centre is refused, or whose intersection
-from it fails, builds the 4-D hull of the Chebyshev centre.
+normals to check that they surround the origin.  It now reads that from
+each region's own Qhull intersection (``convex._bounded``): the dual
+points are omega_i / s_i, s_i the slack of plane i at the interior
+point, so when every dual facet lies at least d from the origin the
+normals' hull holds the ball of radius s_min d, and a radius above
+SURROUND_MARGIN proves the region bounded.  Only a region that is not
+so certified, or whose intersection fails, builds the normals' hull.
+The old check is kept below verbatim as the oracle: a decode that
+builds no normals' hull must be one the oracle accepts, and every
+decode must give the outcome and message of ``oracle_decode_convex``,
+which runs the hull check on every code.  The inputs are the decode
+oracles' codes, random normal sets in and near a hemisphere, 4- and
+5-plane codes, coplanar and duplicated normals, the part codes of
+segmented fixtures and a seeded sweep of random codes.  Unbounded codes
+now reach the least-squares solve and Qhull: a singular system gives no
+centre, and an unbounded intersection warns nothing.
+``_triple_points`` solves simple vertices (three planes) in one batch;
+it must match the earlier triple loop bit for bit and estimate each
+near-singular triple's condition number once.  A common decode builds
+no hull at all: its interior point is the least-squares centre.  Only
+a decode whose centre is refused, or whose intersection from it fails,
+builds the 4-D hull of the Chebyshev centre.
 """
 
 import numpy as np
 import pytest
-from scipy.spatial import (
-    ConvexHull,
-    QhullError,
-    SphericalVoronoi,
-    cKDTree,
-)
+from scipy.spatial import ConvexHull, QhullError
 
 from planecode import (
     EmptyRegion,
@@ -37,6 +39,7 @@ from planecode import (
     shapes,
 )
 from planecode import convex
+from planecode.convex import ConvexPolyhedron, decode_regions
 from planecode.errors import GeometryError
 from planecode.segmentation import PartKind
 
@@ -61,16 +64,37 @@ def oracle_surround_check(normals):
         raise UnboundedRegion("normals do not surround the origin")
 
 
-def assert_screen_sound(code):
-    """The screen clears only what the oracle accepts; the decode matches.
+def counting_hulls(monkeypatch):
+    dims = []
+    hull = convex.ConvexHull
 
-    Returns whether the screen cleared the code.
+    def counted(points, *args, **kwargs):
+        dims.append(np.shape(points)[1])
+        return hull(points, *args, **kwargs)
+
+    monkeypatch.setattr(convex, "ConvexHull", counted)
+    return dims
+
+
+@pytest.fixture
+def assert_sound(monkeypatch):
+    """A check of one code: a decode that builds no normals' hull is one the
+    oracle accepts, and the decode matches the oracle.
+
+    The check returns whether the decode certified the code without that hull.
     """
-    cleared = convex._surrounds_origin(code.normals(), [0, len(code)])[0]
-    if cleared:
-        oracle_surround_check(code.normals())
-    assert outcome(decode_convex, code) == outcome(oracle_decode_convex, code)
-    return cleared
+    dims = counting_hulls(monkeypatch)
+
+    def check(code):
+        dims.clear()
+        got = outcome(decode_convex, code)
+        certified = 3 not in dims
+        if certified:
+            oracle_surround_check(code.normals())
+        assert got == outcome(oracle_decode_convex, code)
+        return certified
+
+    return check
 
 
 def unit_rows(rng, count):
@@ -82,26 +106,40 @@ def normal_code(w, offsets=None):
     return PlaneSet.from_normals(w, np.ones(len(w)) if offsets is None else offsets)
 
 
-def test_the_covering_radius_bounds_every_unit_vector():
-    net = convex.SURROUND_NET
-    assert net.shape == (convex.SURROUND_DIRECTIONS, 3) == (128, 3)
-    assert np.allclose(np.linalg.norm(net, axis=1), 1.0, rtol=0.0, atol=1e-15)
-    hull = ConvexHull(net)
-    corners = net[hull.simplices]
-    rho = float(np.linalg.norm(corners - hull.equations[:, None, :3], axis=2).max())
-    assert convex.SURROUND_RHO >= rho
-    assert 0.2 < rho < 0.25
-    # the points farthest from the net are its spherical Voronoi vertices
-    tree = cKDTree(net)
-    far = tree.query(SphericalVoronoi(net).vertices)[0].max()
-    assert abs(far - rho) < 1e-12
-    sample = unit_rows(np.random.default_rng(5), 200_000)
-    assert tree.query(sample)[0].max() <= convex.SURROUND_RHO
-    # the proven ball dwarfs Qhull's rounding and the check's 1e-9 slack
+def ring_and_cap(rng, z, count):
+    """``count`` normals on a ring at height ``z``, as many above it, turned at random."""
+    theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, count))
+    r = np.sqrt(1.0 - z * z)
+    ring = np.column_stack([r * np.cos(theta), r * np.sin(theta), np.full(count, z)])
+    cap = unit_rows(rng, count)
+    cap[:, 2] = np.abs(cap[:, 2])
+    return np.vstack([ring, cap]) @ quaternion_rotation(rng).T
+
+
+def test_the_certified_ball_dwarfs_the_checks_slack_and_fits_the_normals_hull():
+    # the ball the dual hull proves, s_min times its facets' least
+    # distance, is never larger than the normals' hull's own, bounded or
+    # not; the certificate asks for SURROUND_MARGIN, far beyond the
+    # check's 1e-9 slack
     assert convex.SURROUND_MARGIN >= 100 * 1e-9
+    rng = np.random.default_rng(5)
+    codes = [shapes.ngon_prism_code(n) for n in (3, 8, 40)]
+    codes += [encode_convex(shapes.random_hull_mesh(rng, n)) for n in (8, 32, 128)]
+    for z in (-1e-7, -1e-6, -3e-6, -1e-5, -1e-3, -0.1):
+        codes += [normal_code(ring_and_cap(rng, z, count)) for count in (6, 40)]
+    radii = []
+    for code in codes:
+        hs = convex._intersection(code.normals(), code.offsets(), 1e-9, 0)
+        p = hs.dual_points
+        radius = -hs.dual_equations[:, 3].max() / np.sqrt((p * p).sum(axis=1)).max()
+        inradius = -ConvexHull(code.normals()).equations[:, 3].max()
+        assert radius <= inradius + 1e-12
+        assert convex._bounded(hs) == (radius > convex.SURROUND_MARGIN)
+        radii.append(radius)
+    assert min(radii) < convex.SURROUND_MARGIN < max(radii)
 
 
-def test_decode_oracle_codes_clear_the_screen_and_match():
+def test_decode_oracle_codes_are_certified_and_match(assert_sound):
     rng = np.random.default_rng(17)
     codes = [shapes.ngon_prism_code(n) for n in range(3, 29)]
     for t in np.linspace(0.01, 0.45, 12):
@@ -113,62 +151,56 @@ def test_decode_oracle_codes_clear_the_screen_and_match():
             if k:
                 code = convex.rotate_planes(code, quaternion_rotation(rng))
             codes.append(stored(code))
-    cleared = [assert_screen_sound(code) for code in codes]
-    # every prism and chamfered cube clears; a hull of few planes may
-    # leave a gap in its normals too wide for the net to prove it closed
-    assert all(cleared[:50])
-    assert sum(cleared) >= len(cleared) - 3
+    assert all(assert_sound(code) for code in codes)
 
 
-def test_hemispheres_and_near_hemispheres_reach_the_oracle():
+def test_hemispheres_and_near_hemispheres_reach_the_oracle(assert_sound):
     rng = np.random.default_rng(23)
     outcomes = {}
+    certified = []
     for margin in (0.0, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
         for side in (-1.0, 1.0):
             for count in (6, 12, 40):
                 # a ring at height side * margin and random normals above it
-                theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, count))
-                z = side * margin
-                r = np.sqrt(1.0 - z * z)
-                ring = np.column_stack([r * np.cos(theta), r * np.sin(theta), np.full(count, z)])
-                cap = unit_rows(rng, count)
-                cap[:, 2] = np.abs(cap[:, 2])
-                w = np.vstack([ring, cap]) @ quaternion_rotation(rng).T
-                code = normal_code(w)
-                assert not assert_screen_sound(code)
+                code = normal_code(ring_and_cap(rng, side * margin, count))
+                if assert_sound(code):
+                    certified.append((side, margin))
                 got = outcome(decode_convex, code)[0]
                 outcomes[got] = outcomes.get(got, 0) + 1
     # both sides of the check are reached: unbounded, and bounded solids
     assert outcomes.pop(UnboundedRegion) >= 20
     assert sum(outcomes.values()) >= 20
+    # a ring 1e-5 below the cap is certified from the intersection alone
+    assert set(certified) == {(-1.0, m) for m in (1e-6, 1e-5, 1e-4, 1e-3)}
+    assert certified.count((-1.0, 1e-6)) < 3
 
 
-def test_four_and_five_plane_codes_match_the_oracle():
+def test_four_and_five_plane_codes_match_the_oracle(assert_sound):
     rng = np.random.default_rng(29)
-    cleared = bounded = 0
+    certified = bounded = 0
     for count in (4, 5):
         for _ in range(300):
             w = unit_rows(rng, count)
             code = normal_code(w, rng.uniform(0.2, 2.0, count))
-            cleared += assert_screen_sound(code)
+            certified += assert_sound(code)
             bounded += outcome(decode_convex, code)[0] is not UnboundedRegion
-    assert cleared >= 10 and bounded > cleared
+    assert certified >= 10 and bounded >= certified
 
 
-def test_coplanar_and_duplicated_normals_match_the_oracle():
+def test_coplanar_and_duplicated_normals_match_the_oracle(assert_sound):
     rng = np.random.default_rng(31)
     messages = set()
     for count in (4, 7, 20):
         frame = quaternion_rotation(rng)
         theta = rng.uniform(0.0, 2.0 * np.pi, count)
         flat = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(count)]) @ frame.T
-        assert not assert_screen_sound(normal_code(flat))
+        assert not assert_sound(normal_code(flat))
         messages.add(outcome(decode_convex, normal_code(flat))[1])
         w = unit_rows(rng, count)
         for dup in (np.vstack([w, w]), np.vstack([w, w[:2], w[::-1]]), np.repeat(w[:2], 3, axis=0)):
-            assert_screen_sound(normal_code(dup))
+            assert_sound(normal_code(dup))
     cube = shapes.chamfered_cube_code(0.2)
-    assert assert_screen_sound(PlaneSet.concatenate([cube, cube, cube[:3]]))
+    assert assert_sound(PlaneSet.concatenate([cube, cube, cube[:3]]))
     assert messages == {"plane normals are degenerate (coplanar or fewer)"}
 
 
@@ -189,21 +221,104 @@ def part_codes():
                     yield PlaneSet.concatenate([faces, part.boundary_planes])
 
 
-def test_segmented_part_codes_match_the_oracle():
-    cleared = [assert_screen_sound(code) for code in part_codes()]
-    assert len(cleared) >= 40 and sum(cleared) >= 0.9 * len(cleared)
+def test_segmented_part_codes_match_the_oracle(assert_sound):
+    certified = [assert_sound(code) for code in part_codes()]
+    assert len(certified) >= 40 and all(certified)
 
 
-def counting_hulls(monkeypatch):
-    dims = []
-    hull = convex.ConvexHull
+def sweep_normals(rng, kind, count):
+    w = rng.normal(size=(count, 3))
+    if kind == "hemisphere":
+        w[:, 2] = np.abs(w[:, 2])
+    elif kind == "near-flat":
+        w[:, 2] *= 10.0 ** rng.uniform(-12.0, -3.0)
+    elif kind == "capped":
+        # a cap and one normal straight below it
+        w[:, 2] = np.abs(w[:, 2]) + rng.uniform(0.0, 0.5)
+        w[0] = (0.0, 0.0, -1.0)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return w @ quaternion_rotation(rng).T
 
-    def counted(points, *args, **kwargs):
-        dims.append(np.shape(points)[1])
-        return hull(points, *args, **kwargs)
 
-    monkeypatch.setattr(convex, "ConvexHull", counted)
-    return dims
+def test_a_seeded_sweep_of_random_codes_matches_the_oracle(assert_sound):
+    rng = np.random.default_rng(47)
+    kinds = {}
+    for kind in ("sphere", "hemisphere", "near-flat", "capped"):
+        for i in range(60):
+            count = int(rng.integers(4, 24))
+            # the oracle decodes in the caller's units: a largest |h| in
+            # [0.5, 1) makes the decoder's unit scale the identity, so a
+            # vertex with no usable triple takes the same Qhull point
+            offsets = rng.uniform(-0.3, 0.95, count)
+            offsets[rng.integers(count)] = 0.9
+            code = normal_code(sweep_normals(rng, kind, count), offsets)
+            if i % 3 == 0:
+                code = stored(code)
+            assert_sound(code)
+            got = outcome(decode_convex, code)
+            key = got[0] if isinstance(got[0], type) else ConvexPolyhedron
+            kinds[key] = kinds.get(key, 0) + 1
+    assert min(kinds.get(k, 0) for k in (ConvexPolyhedron, UnboundedRegion, EmptyRegion)) >= 20
+
+
+def test_a_singular_least_squares_system_gives_no_centre():
+    # coplanar normals make the 4x4 normal equations singular; a stack
+    # with one such region keeps the others' centres bit for bit
+    flat = normal_code(np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]))
+    cube = encode_convex(shapes.cube())
+    prism = shapes.ngon_prism_code(7)
+    centres = convex._least_squares_centres
+    assert centres(flat.normals(), flat.offsets(), [1e-9], [0, 4]) == [None]
+    both = PlaneSet.concatenate([cube, prism])
+    want = centres(both.normals(), both.offsets(), [1e-9, 1e-9], [0, 6, 15])
+    assert want[0] is not None and want[1] is not None
+    mixed = PlaneSet.concatenate([cube, flat, prism])
+    got = centres(mixed.normals(), mixed.offsets(), [1e-9] * 3, [0, 6, 10, 19])
+    assert got[1] is None
+    assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[1].tobytes()
+    with pytest.raises(UnboundedRegion, match=r"^plane normals are degenerate"):
+        decode_convex(flat)
+
+
+def test_an_unbounded_intersection_is_refused_without_a_warning(monkeypatch):
+    # the least-squares centre of these unbounded planes is accepted and
+    # Qhull intersects from it; a dual facet passes through the origin,
+    # and scipy's division of the facets into points divides by zero,
+    # a RuntimeWarning this suite would turn into an error
+    q = np.pi / 4
+    code = PlaneSet([
+        (2 * q, 0.0, 0.25),
+        (3 * q, q, 0.75),
+        (3 * q, q, 0.5),
+        (q, 2 * q, 0.25),
+        (np.pi / 3, np.pi, 0.75),
+    ])
+    intersect = convex.HalfspaceIntersection
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(intersect(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(convex, "HalfspaceIntersection", spy)
+    dims = counting_hulls(monkeypatch)
+    with pytest.raises(UnboundedRegion) as exc:
+        decode_convex(code)
+    assert str(exc.value) == "normals do not surround the origin"
+    assert len(seen) == 1 and not convex._bounded(seen[0])
+    assert (seen[0].dual_equations[:, 3] == 0.0).any()
+    assert dims == [3]
+
+
+def test_an_unbounded_region_takes_no_plane_of_the_next_region():
+    # a region of upward normals sorts its largest row last; the next
+    # region's least row is the same plane, and stays its own
+    up = PlaneSet([(0.0, 0.0, 0.1), (0.0, 0.0, 0.2), (0.0, 0.0, 0.3), (0.0, 0.0, 1.0)])
+    cube = encode_convex(shapes.cube())
+    assert up[3] == cube.sorted_canonical()[0]
+    got = decode_regions([up, cube])
+    assert isinstance(got[0], UnboundedRegion)
+    assert outcome(lambda c: got[1], cube) == outcome(decode_convex, cube)
 
 
 def test_a_common_decode_builds_no_hull(monkeypatch):
@@ -222,7 +337,8 @@ def test_a_common_decode_builds_no_hull(monkeypatch):
 
 def test_a_refused_centre_builds_only_the_lifted_hull(monkeypatch):
     # a slab of the unit cube's planes: its least slack is far below
-    # half its mean slack, so the least-squares centre is refused
+    # half its mean slack, so the least-squares centre is refused; an
+    # empty slab then asks the normals' hull before it is refused
     cube = encode_convex(shapes.cube())
     top = cube.normals()[:, 2] == 1.0
     dims = counting_hulls(monkeypatch)
@@ -232,7 +348,7 @@ def test_a_refused_centre_builds_only_the_lifted_hull(monkeypatch):
         assert centres == [None]
         dims.clear()
         got = outcome(decode_convex, code)
-        assert dims == [4]
+        assert dims == ([4, 3] if empty else [4])
         assert (got[0] is EmptyRegion) == empty
         assert got == outcome(oracle_decode_convex, code)
         if empty:
